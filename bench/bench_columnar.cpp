@@ -1,10 +1,9 @@
-// E15 — allocation behaviour of the carve/meta-query hot path: interned
+// E15 — allocation behaviour of the carve hot path: interned
 // (arena/StringPool) vs. owned (one heap std::string per cell) content
-// decode, counted per carved page with a global operator new hook; and
-// columnar vs. row-at-a-time WHERE evaluation over the same carved
-// relation. BENCH_columnar.json is produced from this binary (procedure
-// in EXPERIMENTS.md E15); the acceptance bar is >= 5x fewer allocations
-// per carved page with interning on.
+// decode, counted per carved page with a global operator new hook.
+// BENCH_columnar.json is produced from this binary (procedure in
+// EXPERIMENTS.md E15); the acceptance bar is >= 5x fewer allocations per
+// carved page with interning on.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -16,7 +15,6 @@
 #include "common/strings.h"
 #include "core/carver.h"
 #include "engine/database.h"
-#include "metaquery/session.h"
 #include "storage/dialects.h"
 
 // ---- counting global allocator -------------------------------------------
@@ -176,63 +174,6 @@ void BM_CarveDecodeOwned(benchmark::State& state) {
 }
 BENCHMARK(BM_CarveDecodeOwned)
     ->Arg(4000)->Arg(20000)->Unit(benchmark::kMillisecond);
-
-// ---- columnar vs. row-at-a-time WHERE ------------------------------------
-
-const CarveResult& CarveForRows(int rows) {
-  static std::map<int, CarveResult>& cache =
-      *new std::map<int, CarveResult>();
-  auto it = cache.find(rows);
-  if (it != cache.end()) return it->second;
-  auto carve = CarveImage(ImageForRows(rows), /*intern=*/true);
-  return cache.emplace(rows, std::move(*carve)).first->second;
-}
-
-void RunFilter(benchmark::State& state, bool columnar) {
-  MetaQueryOptions options;
-  options.columnar_filter = columnar;
-  MetaQuerySession session(options);
-  (void)session.RegisterCarve(CarveForRows(static_cast<int>(state.range(0))),
-                              "Carv");
-  // Conjunctive predicate over an interned low-cardinality string column,
-  // a double range, and the row-status tag: exactly the shape the
-  // columnar fast path compiles (equality via pool id / cached hash, no
-  // per-row std::string).
-  const char* query =
-      "SELECT OID, Customer, Amount FROM CarvOrders "
-      "WHERE City = 'metropolitan-district-07' AND Amount >= 100 AND "
-      "RowStatus = 'ACTIVE'";
-  size_t rows = 0;
-  for (auto _ : state) {
-    auto result = session.Query(query);
-    if (!result.ok()) state.SkipWithError("query failed");
-    rows = result->rows.size();
-    benchmark::DoNotOptimize(result);
-  }
-  const BatchExecStats& stats = session.last_batch_stats();
-  if (columnar && stats.columnar_batches == 0) {
-    state.SkipWithError("columnar path did not engage");
-  }
-  if (!columnar && stats.columnar_batches != 0) {
-    state.SkipWithError("columnar path ran with columnar_filter off");
-  }
-  state.counters["matched_rows"] = static_cast<double>(rows);
-  state.counters["columnar_batches"] =
-      static_cast<double>(stats.columnar_batches);
-  state.counters["row_batches"] = static_cast<double>(stats.row_batches);
-}
-
-void BM_FilterColumnar(benchmark::State& state) {
-  RunFilter(state, /*columnar=*/true);
-}
-BENCHMARK(BM_FilterColumnar)
-    ->Arg(4000)->Arg(20000)->Arg(100000)->Unit(benchmark::kMillisecond);
-
-void BM_FilterRowAtATime(benchmark::State& state) {
-  RunFilter(state, /*columnar=*/false);
-}
-BENCHMARK(BM_FilterRowAtATime)
-    ->Arg(4000)->Arg(20000)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -3,10 +3,9 @@
 // recall degradation as post-attack activity overwrites evidence under an
 // aggressive page-reuse policy.
 //
-// Also benchmarks unattributed-modification matching throughput: the
+// Also benchmarks unattributed-modification matching throughput of the
 // prebound matcher (predicates compiled once per carved schema, statements
-// bucketed per table, logged INSERT rows hashed) against the original
-// name-resolving tuple-at-a-time reference path. The accuracy tables print
+// bucketed per table, logged INSERT rows hashed). The accuracy tables print
 // to stderr so `--benchmark_format=json` output on stdout stays
 // machine-readable.
 #include <benchmark/benchmark.h>
@@ -162,7 +161,7 @@ void PrintAccuracyTables() {
 }
 
 // ---------------------------------------------------------------------------
-// Matching throughput: prebound vs reference, versus table cardinality.
+// Matching throughput versus table cardinality.
 
 /// A carved image plus its audit log: `rows` logged multi-row inserts, 60
 /// logged range DELETEs covering 90% of the ids (so most carved records are
@@ -227,11 +226,9 @@ const MatchScenario& ScenarioForRows(int rows) {
   return cache.emplace(rows, std::move(s)).first->second;
 }
 
-void RunMatching(benchmark::State& state, bool prebind) {
+void BM_UnattributedMatching(benchmark::State& state) {
   const MatchScenario& s = ScenarioForRows(static_cast<int>(state.range(0)));
-  DetectiveOptions options;
-  options.prebind = prebind;
-  DbDetective detective(&s.carve, &s.db->audit_log(), nullptr, options);
+  DbDetective detective(&s.carve, &s.db->audit_log());
   size_t checked = 0;
   size_t flagged = 0;
   for (auto _ : state) {
@@ -245,20 +242,7 @@ void RunMatching(benchmark::State& state, bool prebind) {
   state.counters["records_checked"] = static_cast<double>(checked);
   state.counters["flagged"] = static_cast<double>(flagged);
 }
-
-void BM_UnattributedMatching(benchmark::State& state) {
-  RunMatching(state, /*prebind=*/true);
-}
 BENCHMARK(BM_UnattributedMatching)
-    ->Arg(1000)->Arg(10000)->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
-
-/// The pre-PR matcher: per-record column-name resolution against every
-/// logged statement for the table.
-void BM_UnattributedMatchingReference(benchmark::State& state) {
-  RunMatching(state, /*prebind=*/false);
-}
-BENCHMARK(BM_UnattributedMatchingReference)
     ->Arg(1000)->Arg(10000)->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 

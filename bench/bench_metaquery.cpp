@@ -1,9 +1,9 @@
 // E4 — meta-query latency for the two Section II-C scenarios, versus
 // carved-artifact volume: scenario 1 (deleted-row selection) and scenario
-// 2 (disk-vs-RAM join for fresh updates). Each scenario also runs on the
-// out-of-core engine at a budget of 1/8 of the carved relation footprint
-// (every operator forced to spill) for the spilled-vs-in-memory overhead
-// rows in BENCH_metaquery.json.
+// 2 (disk-vs-RAM join for fresh updates). Each scenario runs unbounded
+// (budget 0, nothing spills) and again at a budget of 1/8 of the carved
+// relation footprint (every operator forced to spill) for the
+// spilled-vs-in-memory overhead rows in BENCH_metaquery.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -70,14 +70,8 @@ const PreparedCarves& CarvesForRows(int rows) {
   return cache.emplace(rows, std::move(prepared)).first->second;
 }
 
-MetaQueryOptions OptionsForMode(bool reference) {
-  MetaQueryOptions options;
-  options.use_reference = reference;
-  return options;
-}
-
 /// In-memory footprint of one carved relation, measured the same way the
-/// out-of-core engine charges its budget.
+/// engine charges its budget.
 size_t CarveFootprintBytes(const CarveResult& carve) {
   auto relation = MakeCarvedRelation(carve, "Product");
   if (!relation.ok()) return 0;
@@ -119,22 +113,13 @@ void RunScenario1(benchmark::State& state, const MetaQueryOptions& options) {
 }
 
 void BM_Scenario1DeletedRows(benchmark::State& state) {
-  RunScenario1(state, OptionsForMode(/*reference=*/false));
+  RunScenario1(state, MetaQueryOptions{});
 }
 BENCHMARK(BM_Scenario1DeletedRows)
     ->Arg(1000)->Arg(5000)->Arg(20000)->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
-/// The pre-PR tuple-at-a-time executor, for speedup accounting against the
-/// batched path (same queries, same carves).
-void BM_Scenario1DeletedRowsReference(benchmark::State& state) {
-  RunScenario1(state, OptionsForMode(/*reference=*/true));
-}
-BENCHMARK(BM_Scenario1DeletedRowsReference)
-    ->Arg(1000)->Arg(5000)->Arg(20000)->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
-
-/// Same query on the out-of-core engine at 1/8 of the carve footprint.
+/// Same query at a budget of 1/8 of the carve footprint.
 void BM_Scenario1DeletedRowsSpilled(benchmark::State& state) {
   const PreparedCarves& carves = CarvesForRows(static_cast<int>(state.range(0)));
   RunScenario1(state, SpilledOptions(CarveFootprintBytes(carves.disk)));
@@ -169,16 +154,9 @@ void RunScenario2(benchmark::State& state, const MetaQueryOptions& options) {
 }
 
 void BM_Scenario2DiskRamJoin(benchmark::State& state) {
-  RunScenario2(state, OptionsForMode(/*reference=*/false));
+  RunScenario2(state, MetaQueryOptions{});
 }
 BENCHMARK(BM_Scenario2DiskRamJoin)
-    ->Arg(1000)->Arg(5000)->Arg(20000)->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_Scenario2DiskRamJoinReference(benchmark::State& state) {
-  RunScenario2(state, OptionsForMode(/*reference=*/true));
-}
-BENCHMARK(BM_Scenario2DiskRamJoinReference)
     ->Arg(1000)->Arg(5000)->Arg(20000)->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 

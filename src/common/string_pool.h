@@ -57,8 +57,7 @@ class StringPool {
   };
   Stats GetStats() const;
 
-  /// Total bytes owned by the pool (arenas + tables); the exact number
-  /// ArtifactRelation::EstimatedBytes feeds into spill_policy kAuto routing.
+  /// Total bytes owned by the pool (arenas + tables).
   size_t BytesUsed() const;
 
   /// Process-unique pool identity stamped into every ref this pool returns.

@@ -62,7 +62,7 @@ struct BoundTableLog {
   bool dropped = false;
   bool delete_all = false;  // a logged DELETE/UPDATE without WHERE
   // Predicates that bound successfully; unbindable ones can never match a
-  // carved record (the reference path's per-row eval error) and are
+  // carved record (a name-resolving evaluator's per-row error) and are
   // dropped at compile time.
   std::vector<sql::BoundExprPtr> delete_preds;  // DELETE + UPDATE pre-image
   // INSERT row lookup: hash of the record -> candidate rows.
@@ -159,17 +159,6 @@ std::string DetectiveReport::ToString() const {
 Result<std::vector<UnattributedModification>>
 DbDetective::FindUnattributedModifications(size_t* deleted_checked,
                                            size_t* active_checked) const {
-  if (options_.prebind) {
-    return FindUnattributedModificationsPrebound(deleted_checked,
-                                                 active_checked);
-  }
-  return FindUnattributedModificationsReference(deleted_checked,
-                                                active_checked);
-}
-
-Result<std::vector<UnattributedModification>>
-DbDetective::FindUnattributedModificationsPrebound(
-    size_t* deleted_checked, size_t* active_checked) const {
   std::vector<sql::Statement> statements;
   std::map<std::string, TableLog> per_table =
       BucketLogByTable(*log_, &statements);
@@ -225,93 +214,6 @@ DbDetective::FindUnattributedModificationsPrebound(
         bool consistent = true;
         for (const auto& [ci, value] : image) {
           if (!(r.values[ci] == *value)) {
-            consistent = false;
-            break;
-          }
-        }
-        if (consistent) attributed = true;
-      }
-      if (!attributed) {
-        out.push_back({UnattributedModification::Kind::kInsert, schema.name,
-                       r.values, r.page_id, r.slot,
-                       "no logged INSERT/UPDATE produces this record"});
-      }
-    }
-  }
-  if (deleted_checked != nullptr) *deleted_checked = deleted_count;
-  if (active_checked != nullptr) *active_checked = active_count;
-  return out;
-}
-
-Result<std::vector<UnattributedModification>>
-DbDetective::FindUnattributedModificationsReference(
-    size_t* deleted_checked, size_t* active_checked) const {
-  // Parse the log once; keep statement storage alive alongside pointers.
-  std::vector<sql::Statement> statements;
-  std::map<std::string, TableLog> per_table =
-      BucketLogByTable(*log_, &statements);
-
-  std::vector<UnattributedModification> out;
-  size_t deleted_count = 0;
-  size_t active_count = 0;
-  for (const CarvedRecord& r : disk_->records) {
-    auto schema_it = disk_->schemas.find(r.object_id);
-    if (schema_it == disk_->schemas.end()) continue;
-    const TableSchema& schema = schema_it->second;
-    if (!r.typed || r.values.size() != schema.columns.size()) continue;
-    std::vector<std::string> columns;
-    for (const Column& c : schema.columns) columns.push_back(c.name);
-    sql::RecordBinding binding(columns, r.values, schema.name);
-    const TableLog& tlog = per_table[TableKeyOf(schema.name)];
-
-    if (r.status == RowStatus::kDeleted) {
-      ++deleted_count;
-      bool attributed = tlog.dropped;
-      for (const sql::DeleteStmt* del : tlog.deletes) {
-        if (attributed) break;
-        if (del->where == nullptr) {
-          attributed = true;
-          break;
-        }
-        auto match = sql::EvalPredicate(*del->where, binding);
-        if (match.ok() && *match) attributed = true;
-      }
-      // The pre-image of a logged UPDATE is also a legitimate deleted
-      // record: its values satisfy the UPDATE's predicate.
-      for (const sql::UpdateStmt* up : tlog.updates) {
-        if (attributed) break;
-        if (up->where == nullptr) {
-          attributed = true;
-          break;
-        }
-        auto match = sql::EvalPredicate(*up->where, binding);
-        if (match.ok() && *match) attributed = true;
-      }
-      if (!attributed) {
-        out.push_back({UnattributedModification::Kind::kDelete, schema.name,
-                       r.values, r.page_id, r.slot,
-                       "no logged DELETE/UPDATE predicate matches this "
-                       "deleted record"});
-      }
-    } else {
-      ++active_count;
-      bool attributed = false;
-      for (const sql::InsertStmt* ins : tlog.inserts) {
-        if (attributed) break;
-        for (const Record& row : ins->rows) {
-          if (CompareRecords(row, r.values) == 0) {
-            attributed = true;
-            break;
-          }
-        }
-      }
-      // The post-image of a logged UPDATE: all SET values must be present.
-      for (const sql::UpdateStmt* up : tlog.updates) {
-        if (attributed) break;
-        bool consistent = !up->assignments.empty();
-        for (const auto& [col, value] : up->assignments) {
-          int ci = schema.ColumnIndex(col);
-          if (ci < 0 || !(r.values[ci] == value)) {
             consistent = false;
             break;
           }

@@ -72,19 +72,11 @@ struct DetectiveReport {
 
 /// Tuning knobs for DbDetective.
 struct DetectiveOptions {
-  /// When true (default), every logged DELETE/UPDATE predicate is bound to
-  /// its table's carved schema once and logged statements are bucketed per
-  /// table object before the record sweep, so matching never re-resolves
-  /// column names per carved record. When false the original
-  /// name-resolving tuple-at-a-time path runs — retained as a reference
-  /// implementation for differential tests and benchmarks.
-  bool prebind = true;
-
   /// Execution options for ad-hoc meta-query sessions built with
   /// MakeMetaQuerySession. Investigations over carves much larger than RAM
-  /// set memory_budget_bytes here so SQL over the carved relations runs on
-  /// the out-of-core engine (docs/spilling.md) instead of materializing
-  /// everything in memory.
+  /// set memory_budget_bytes here so SQL over the carved relations spills
+  /// to disk (docs/spilling.md) instead of holding every intermediate in
+  /// memory.
   MetaQueryOptions metaquery;
 };
 
@@ -100,7 +92,10 @@ class DbDetective {
 
   Result<DetectiveReport> Analyze() const;
 
-  /// Modification analysis only (Figure 4).
+  /// Modification analysis only (Figure 4). Every logged DELETE/UPDATE
+  /// predicate is bound to its table's carved schema once and logged
+  /// statements are bucketed per table object before the record sweep, so
+  /// matching never re-resolves column names per carved record.
   Result<std::vector<UnattributedModification>> FindUnattributedModifications(
       size_t* deleted_checked = nullptr,
       size_t* active_checked = nullptr) const;
@@ -121,13 +116,6 @@ class DbDetective {
       std::vector<std::string>* skipped = nullptr) const;
 
  private:
-  Result<std::vector<UnattributedModification>>
-  FindUnattributedModificationsPrebound(size_t* deleted_checked,
-                                        size_t* active_checked) const;
-  Result<std::vector<UnattributedModification>>
-  FindUnattributedModificationsReference(size_t* deleted_checked,
-                                         size_t* active_checked) const;
-
   const CarveResult* disk_;
   const AuditLog* log_;
   const CarveResult* ram_;

@@ -53,31 +53,6 @@ void Accumulator::Add(const Value& v) {
   }
 }
 
-void Accumulator::Merge(const Accumulator& other) {
-  count += other.count;
-  if (sum_is_int && other.sum_is_int) {
-    isum += other.isum;
-  } else {
-    double a = sum_is_int ? static_cast<double>(isum) : dsum;
-    double b = other.sum_is_int ? static_cast<double>(other.isum) : other.dsum;
-    sum_is_int = false;
-    dsum = a + b;
-  }
-  if (other.has_minmax) {
-    if (!has_minmax) {
-      min_v = other.min_v;
-      max_v = other.max_v;
-      has_minmax = true;
-    } else {
-      // Strict comparisons keep the earliest-seen value among Compare-equal
-      // candidates, matching sequential accumulation when partials merge in
-      // input order.
-      if (Value::Compare(other.min_v, min_v) < 0) min_v = other.min_v;
-      if (Value::Compare(other.max_v, max_v) > 0) max_v = other.max_v;
-    }
-  }
-}
-
 Value Accumulator::Final(sql::AggFunc f) const {
   switch (f) {
     case sql::AggFunc::kCount:
@@ -98,41 +73,6 @@ Value Accumulator::Final(sql::AggFunc f) const {
       break;
   }
   return Value::Null();
-}
-
-// ---- Batch scheduling ---------------------------------------------------
-
-BatchGrid MakeBatches(size_t n, size_t batch_rows) {
-  if (batch_rows == 0) batch_rows = 1024;
-  return {batch_rows, n == 0 ? 0 : (n + batch_rows - 1) / batch_rows};
-}
-
-Status ForEachBatch(ThreadPool* pool, size_t nbatches,
-                    const std::function<Status(size_t)>& body) {
-  if (nbatches == 0) return Status::Ok();
-  if (pool == nullptr || nbatches == 1) {
-    for (size_t b = 0; b < nbatches; ++b) {
-      DBFA_RETURN_IF_ERROR(body(b));
-    }
-    return Status::Ok();
-  }
-  std::vector<Status> statuses(nbatches);
-  pool->ParallelFor(nbatches, [&](size_t b) { statuses[b] = body(b); });
-  for (Status& s : statuses) {
-    if (!s.ok()) return std::move(s);
-  }
-  return Status::Ok();
-}
-
-std::vector<Record> ConcatBatches(std::vector<std::vector<Record>> batches) {
-  size_t total = 0;
-  for (const auto& b : batches) total += b.size();
-  std::vector<Record> out;
-  out.reserve(total);
-  for (auto& b : batches) {
-    for (Record& r : b) out.push_back(std::move(r));
-  }
-  return out;
 }
 
 // ---- Join ----------------------------------------------------------------
@@ -263,80 +203,6 @@ Status EmitEmptyAggregateRow(const sql::SelectStmt& stmt, Record* out) {
   return Status::Ok();
 }
 
-Status AggregateRowsInMemory(const sql::SelectStmt& stmt, const AggPlan& plan,
-                             const std::vector<Record>& rows,
-                             size_t batch_rows, ThreadPool* pool,
-                             std::vector<Record>* out_rows) {
-  // Per-batch partial aggregation into unordered maps with a proper record
-  // hasher, merged in batch order (so group representatives and integer
-  // sums match sequential accumulation exactly).
-  struct Partial {
-    Record rep;  // first row of the group within / across batches
-    std::vector<Accumulator> accs;
-  };
-  using GroupMap = std::unordered_map<Record, Partial, RecordHasher, RecordEq>;
-  BatchGrid grid = MakeBatches(rows.size(), batch_rows);
-  std::vector<GroupMap> partials(grid.count);
-  DBFA_RETURN_IF_ERROR(ForEachBatch(pool, grid.count, [&](size_t b) {
-    size_t lo = b * grid.batch_rows;
-    size_t hi = std::min(rows.size(), lo + grid.batch_rows);
-    GroupMap& local = partials[b];
-    for (size_t r = lo; r < hi; ++r) {
-      const Record& row = rows[r];
-      Record key;
-      DBFA_RETURN_IF_ERROR(MakeGroupKey(stmt, plan, row, &key));
-      auto [it, inserted] = local.try_emplace(std::move(key));
-      Partial& group = it->second;
-      if (inserted) {
-        group.rep = row;
-        group.accs.resize(stmt.items.size());
-      }
-      DBFA_RETURN_IF_ERROR(AccumulateRow(stmt, plan, row, &group.accs));
-    }
-    return Status::Ok();
-  }));
-
-  GroupMap groups;
-  for (GroupMap& partial : partials) {
-    // dbfa-lint: allow(unordered-iter): per-key merge is commutative and
-    // associative (Accumulator::Merge), and partials are visited in batch
-    // order via the outer vector — hash order cannot reach the output.
-    for (auto& [key, part] : partial) {
-      auto [it, inserted] = groups.try_emplace(key);
-      if (inserted) {
-        it->second = std::move(part);
-      } else {
-        for (size_t i = 0; i < it->second.accs.size(); ++i) {
-          it->second.accs[i].Merge(part.accs[i]);
-        }
-      }
-    }
-  }
-
-  if (groups.empty() && stmt.group_by.empty()) {
-    // Aggregates over an empty input produce one row.
-    Record row;
-    DBFA_RETURN_IF_ERROR(EmitEmptyAggregateRow(stmt, &row));
-    out_rows->push_back(std::move(row));
-  }
-
-  // Emit groups in key order — the order the reference executor's ordered
-  // map produces.
-  std::vector<std::pair<const Record*, Partial*>> ordered;
-  ordered.reserve(groups.size());
-  // dbfa-lint: allow(unordered-iter): feeds the CompareRecords sort below.
-  for (auto& [key, part] : groups) ordered.push_back({&key, &part});
-  std::sort(ordered.begin(), ordered.end(), [](const auto& a, const auto& b) {
-    return CompareRecords(*a.first, *b.first) < 0;
-  });
-  for (auto& [key, part] : ordered) {
-    Record row;
-    DBFA_RETURN_IF_ERROR(EmitGroupRow(stmt, plan, part->rep, part->accs, &row));
-    out_rows->push_back(std::move(row));
-  }
-  return Status::Ok();
-}
-
 // ---- Projection ----------------------------------------------------------
 
 Result<ProjectionPlan> PlanProjection(const sql::SelectStmt& stmt,
@@ -404,24 +270,6 @@ bool OrderKeyLess(const Record& a, const Record& b,
     if (c != 0) return desc[k] ? c > 0 : c < 0;
   }
   return false;
-}
-
-Status SortAndLimit(const sql::SelectStmt& stmt,
-                    std::vector<std::string>* columns,
-                    std::vector<Record>* rows) {
-  if (!stmt.order_by.empty()) {
-    std::vector<int> idx;
-    std::vector<bool> desc;
-    DBFA_RETURN_IF_ERROR(ResolveOrderKeys(stmt, *columns, &idx, &desc));
-    std::stable_sort(rows->begin(), rows->end(),
-                     [&](const Record& a, const Record& b) {
-                       return OrderKeyLess(a, b, idx, desc);
-                     });
-  }
-  if (stmt.limit >= 0 && rows->size() > static_cast<size_t>(stmt.limit)) {
-    rows->resize(static_cast<size_t>(stmt.limit));
-  }
-  return Status::Ok();
 }
 
 }  // namespace dbfa::metaquery_internal

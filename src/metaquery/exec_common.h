@@ -1,13 +1,9 @@
-// Internals shared by the three meta-query executors: the batched engine
-// (batch_executor.cc, the default), the out-of-core engine
-// (spill_executor.cc, selected by MetaQueryOptions::memory_budget_bytes),
-// and the tuple-at-a-time reference implementation (reference_executor.cc,
-// kept for differential testing). Not part of the public metaquery API.
-//
-// The batched and out-of-core engines must produce bit-identical results,
-// so every piece of per-row semantics they share — join probing, group
-// accumulation, group emission, projection, ORDER BY comparison — lives
-// here and is compiled exactly once.
+// Internals of the streaming meta-query engine (spill_executor.cc): the
+// per-row semantics of join probing, group accumulation, group emission,
+// projection and ORDER BY comparison. The test-only tuple-at-a-time
+// reference executor (tests/oracles/) reuses the frame namespace, the
+// accumulator and the ORDER BY comparison. Not part of the public metaquery
+// API.
 #ifndef DBFA_METAQUERY_EXEC_COMMON_H_
 #define DBFA_METAQUERY_EXEC_COMMON_H_
 
@@ -19,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "metaquery/relation.h"
 #include "metaquery/session.h"
 #include "sql/bound_expr.h"
@@ -59,12 +54,10 @@ struct Accumulator {
   Value max_v;
   bool has_minmax = false;
 
+  /// Folds one value in. Every executor folds a group's rows in input
+  /// order, so double sums associate identically everywhere
+  /// (docs/metaquery_engine.md).
   void Add(const Value& v);
-
-  /// Folds another accumulator in. Merging partials in input-batch order
-  /// reproduces the sequential result exactly for COUNT/MIN/MAX and for
-  /// integer sums; double sums re-associate (see docs/metaquery_engine.md).
-  void Merge(const Accumulator& other);
 
   Value Final(sql::AggFunc f) const;
 };
@@ -88,26 +81,6 @@ struct RecordEq {
   }
 };
 
-// ---- Batch scheduling ---------------------------------------------------
-
-struct BatchGrid {
-  size_t batch_rows = 0;
-  size_t count = 0;
-};
-
-/// Batch geometry is a pure function of input size and batch_rows — never
-/// of thread count — which is the root of the determinism contract.
-BatchGrid MakeBatches(size_t n, size_t batch_rows);
-
-/// Runs body(batch_index) for every batch, on the pool when available.
-/// Bodies must only touch their own batch's state. The first non-OK status
-/// in batch order is returned, so error reporting is deterministic.
-Status ForEachBatch(ThreadPool* pool, size_t nbatches,
-                    const std::function<Status(size_t)>& body);
-
-/// Moves per-batch outputs into one vector, preserving batch order.
-std::vector<Record> ConcatBatches(std::vector<std::vector<Record>> batches);
-
 // ---- Join ----------------------------------------------------------------
 
 /// Value-keyed buckets of right-row indices, in scan order, so equal keys
@@ -129,8 +102,8 @@ Status ResolveJoinColumns(const FrameSet& frames, const FrameSet& right_frame,
 /// Probes one left row against the table; for every surviving match calls
 /// emit(combined_record). When `fused_where` is non-null it is evaluated on
 /// a zero-copy left++right view before materializing the combined record.
-/// Match order is right scan order within the key — the contract both
-/// engines share.
+/// Match order is right scan order within the key — the contract the
+/// reference executor shares.
 template <typename Emit>
 Status ProbeJoinRow(const Record& left_row, size_t left_idx,
                     const JoinTable& table,
@@ -176,7 +149,7 @@ Result<AggPlan> PlanAggregation(const sql::SelectStmt& stmt,
                                 std::vector<std::string>* out_columns);
 
 /// Extracts the GROUP BY key of `row` (with the same unknown-column error
-/// the engines have always produced for rows narrower than the key).
+/// the reference executor produces for rows narrower than the key).
 Status MakeGroupKey(const sql::SelectStmt& stmt, const AggPlan& plan,
                     const Record& row, Record* key);
 
@@ -193,15 +166,6 @@ Status EmitGroupRow(const sql::SelectStmt& stmt, const AggPlan& plan,
 /// The single output row of an aggregate query over empty ungrouped input
 /// (errors when a non-aggregate item is present).
 Status EmitEmptyAggregateRow(const sql::SelectStmt& stmt, Record* out);
-
-/// The batched in-memory GROUP BY operator: per-batch partial maps merged
-/// in batch order, groups emitted sorted by key. Appends result rows to
-/// *out_rows. Used verbatim by the batched engine and by the out-of-core
-/// engine when its input fits the budget.
-Status AggregateRowsInMemory(const sql::SelectStmt& stmt, const AggPlan& plan,
-                             const std::vector<Record>& rows,
-                             size_t batch_rows, ThreadPool* pool,
-                             std::vector<Record>* out_rows);
 
 // ---- Projection ----------------------------------------------------------
 
@@ -227,12 +191,6 @@ Status ResolveOrderKeys(const sql::SelectStmt& stmt,
 /// Strict-weak ordering for ORDER BY: true when a sorts before b.
 bool OrderKeyLess(const Record& a, const Record& b,
                   const std::vector<int>& idx, const std::vector<bool>& desc);
-
-/// Applies ORDER BY (resolved once against the output column names) and
-/// LIMIT to a finished result table.
-Status SortAndLimit(const sql::SelectStmt& stmt,
-                    std::vector<std::string>* columns,
-                    std::vector<Record>* rows);
 
 }  // namespace dbfa::metaquery_internal
 

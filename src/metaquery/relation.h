@@ -7,14 +7,12 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "core/artifacts.h"
 #include "engine/database.h"
-#include "sql/row_codec.h"
 
 namespace dbfa {
 
@@ -25,23 +23,13 @@ class Relation {
   virtual const std::vector<std::string>& columns() const = 0;
   virtual Status Scan(
       const std::function<Status(const Record&)>& fn) const = 0;
-
-  /// Deterministic estimate of the relation's materialized row footprint,
-  /// used by MetaQueryOptions spill_policy kAuto to size a query's working
-  /// set. nullopt means unknown (e.g. live tables, whose rows are read at
-  /// scan time); kAuto treats unknown as over-budget and spills.
-  virtual std::optional<size_t> EstimatedBytes() const { return std::nullopt; }
 };
 
 /// Materialized relation.
 class VectorRelation : public Relation {
  public:
   VectorRelation(std::vector<std::string> columns, std::vector<Record> rows)
-      : columns_(std::move(columns)), rows_(std::move(rows)) {
-    for (const Record& r : rows_) {
-      estimated_bytes_ += sql::EstimateRecordMemoryBytes(r);
-    }
-  }
+      : columns_(std::move(columns)), rows_(std::move(rows)) {}
 
   const std::vector<std::string>& columns() const override {
     return columns_;
@@ -53,36 +41,21 @@ class VectorRelation : public Relation {
     return Status::Ok();
   }
   const std::vector<Record>& rows() const { return rows_; }
-  std::optional<size_t> EstimatedBytes() const override {
-    return estimated_bytes_;
-  }
 
  private:
   std::vector<std::string> columns_;
   std::vector<Record> rows_;
-  size_t estimated_bytes_ = 0;
 };
 
 /// Materialized view over one carved table. Keeps the carve's string pool
 /// alive — carved rows borrow interned string cells from it (StringRef
-/// lifetime rule, docs/columnar_memory.md) — and reports an exact
-/// EstimatedBytes(): the flat row footprint plus the pool's arena/table
-/// accounting, counted once instead of once per occurrence, so
-/// spill_policy kAuto routes on real numbers. The pool is shared by every
-/// relation carved from the same CarveResult, making the estimate
-/// conservative per relation but never wrong in aggregate.
+/// lifetime rule, docs/columnar_memory.md).
 class ArtifactRelation : public VectorRelation {
  public:
   ArtifactRelation(std::vector<std::string> columns, std::vector<Record> rows,
                    std::shared_ptr<const StringPool> pool)
       : VectorRelation(std::move(columns), std::move(rows)),
         pool_(std::move(pool)) {}
-
-  std::optional<size_t> EstimatedBytes() const override {
-    size_t bytes = VectorRelation::EstimatedBytes().value_or(0);
-    if (pool_ != nullptr) bytes += pool_->BytesUsed();
-    return bytes;
-  }
 
   /// The interning pool backing this relation's string cells; null when the
   /// carve ran with intern_strings off.

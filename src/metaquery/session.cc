@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "common/strings.h"
-#include "metaquery/batch_executor.h"
-#include "metaquery/reference_executor.h"
 #include "metaquery/spill_executor.h"
 
 namespace dbfa {
@@ -146,52 +144,13 @@ Result<QueryTable> MetaQuerySession::Query(const std::string& select_sql) {
   return Execute(*select);
 }
 
-bool MetaQuerySession::SpillEngaged(const sql::SelectStmt& stmt) const {
-  switch (options_.spill_policy) {
-    case SpillPolicy::kAlways:
-      return true;
-    case SpillPolicy::kNever:
-      return false;
-    case SpillPolicy::kAuto:
-      break;
-  }
-  size_t working_set = 0;
-  auto add = [&](const std::string& table) {
-    auto relation = Lookup(table);
-    if (!relation.ok()) return false;  // executor reports the lookup error
-    std::optional<size_t> estimate = (*relation)->EstimatedBytes();
-    if (!estimate.has_value()) return false;  // unknown -> over budget
-    working_set += *estimate;
-    return true;
-  };
-  if (!add(stmt.from.table)) return true;
-  for (const sql::JoinClause& join : stmt.joins) {
-    if (!add(join.table.table)) return true;
-  }
-  // Joins and aggregation build intermediates comparable in size to their
-  // inputs; doubling the base-relation footprint is the working-set model.
-  return working_set > options_.memory_budget_bytes / 2;
-}
-
 Result<QueryTable> MetaQuerySession::Execute(const sql::SelectStmt& stmt) {
   metaquery_internal::RelationResolver lookup =
       [this](const std::string& name) { return Lookup(name); };
   last_spill_stats_ = {};
-  last_batch_stats_ = {};
-  if (options_.use_reference) {
-    last_engine_ = "reference";
-    return metaquery_internal::ExecuteReference(stmt, lookup);
-  }
-  if (options_.memory_budget_bytes > 0 && SpillEngaged(stmt)) {
-    last_engine_ = "out-of-core";
-    return metaquery_internal::ExecuteOutOfCore(
-        stmt, lookup, options_, PoolForQuery(), &last_spill_stats_);
-  }
-  last_engine_ = "batched";
-  return metaquery_internal::ExecuteBatched(stmt, lookup, options_.batch_rows,
-                                            PoolForQuery(),
-                                            options_.columnar_filter,
-                                            &last_batch_stats_);
+  return metaquery_internal::ExecuteOutOfCore(stmt, lookup, options_,
+                                              PoolForQuery(),
+                                              &last_spill_stats_);
 }
 
 }  // namespace dbfa

@@ -9,10 +9,10 @@
 // (COUNT/SUM/MIN/MAX/AVG) with GROUP BY, ORDER BY, and LIMIT — enough to
 // run the full SSBM query suite for the anti-forensics evaluation.
 //
-// Two executors back the session: the default batched engine binds every
-// column reference to a flat index at plan time and fans row batches out
-// on a thread pool (docs/metaquery_engine.md), and a tuple-at-a-time
-// reference implementation is retained for differential testing.
+// One streaming engine executes every query: column references bind to
+// flat indices at plan time, operators stream rows from the relations, and
+// any intermediate that outgrows the memory budget spills to disk
+// (docs/metaquery_engine.md, docs/spilling.md).
 #ifndef DBFA_METAQUERY_SESSION_H_
 #define DBFA_METAQUERY_SESSION_H_
 
@@ -38,64 +38,21 @@ struct QueryTable {
   std::string ToText(size_t max_rows = 50) const;
 };
 
-/// When a nonzero memory budget routes queries to the out-of-core engine.
-enum class SpillPolicy {
-  /// Any nonzero memory_budget_bytes runs the spill engine (the original
-  /// behavior; budget == 0 always stays in memory).
-  kAlways,
-  /// Never spill; the budget only documents intent. Queries run on the
-  /// in-memory batched engine regardless of size.
-  kNever,
-  /// Spill only when the query's estimated working set — the summed
-  /// Relation::EstimatedBytes() of every referenced relation, doubled for
-  /// intermediates — exceeds memory_budget_bytes. Relations that cannot
-  /// estimate (live tables) count as over-budget, so kAuto errs toward
-  /// spilling. Results are bit-identical either way (docs/spilling.md);
-  /// only the execution strategy changes.
-  kAuto,
-};
-
-/// Per-query engagement counters for the batched engine's columnar filter
-/// fast path (docs/columnar_memory.md). Batches of a WHERE sweep either
-/// run the columnar kernels or fall back to the row-at-a-time evaluator;
-/// both produce identical rows, so these counters exist purely so tests
-/// and benchmarks can assert which path ran.
-struct BatchExecStats {
-  /// WHERE batches evaluated column-at-a-time.
-  size_t columnar_batches = 0;
-  /// WHERE batches that fell back to row-at-a-time evaluation (unsupported
-  /// predicate shape, ragged rows, or mixed-type columns).
-  size_t row_batches = 0;
-};
-
 /// Execution knobs for MetaQuerySession.
 struct MetaQueryOptions {
-  /// Worker threads for batched execution: 1 runs inline on the calling
-  /// thread, 0 means hardware concurrency.
+  /// Worker threads for spilled partitions (grace-join and aggregation
+  /// partitions run in parallel): 1 runs inline on the calling thread, 0
+  /// means hardware concurrency. Results are identical at every count.
   size_t num_threads = 1;
-  /// Rows per execution batch. Batch geometry depends only on this value —
-  /// never on num_threads — so results are identical at every thread
-  /// count (see docs/metaquery_engine.md).
-  size_t batch_rows = 1024;
-  /// Run the retained tuple-at-a-time reference executor instead of the
-  /// batched engine (differential tests and benchmarks).
-  bool use_reference = false;
-  /// When non-zero, queries run on the out-of-core engine: each operator
-  /// may hold roughly this many bytes of rows in memory and spills the
-  /// rest to checksummed temp files (docs/spilling.md). Results are
-  /// bit-identical to the in-memory engine at every budget. 0 keeps
-  /// everything in memory.
+  /// Bytes of rows each operator may hold in memory; the rest spills to
+  /// checksummed temp files (docs/spilling.md). 0 (the default) means
+  /// unbounded: nothing ever spills. Results are bit-identical at every
+  /// budget.
   size_t memory_budget_bytes = 0;
   /// Directory spill files are created under (a unique per-query
-  /// subdirectory is always used). Empty means the system temp directory.
+  /// subdirectory, created only when a query first spills). Empty means
+  /// the system temp directory.
   std::string spill_dir;
-  /// How memory_budget_bytes engages the out-of-core engine.
-  SpillPolicy spill_policy = SpillPolicy::kAlways;
-  /// Evaluate qualifying WHERE predicates column-at-a-time over per-batch
-  /// flat vectors instead of row-at-a-time (batched engine only). Results
-  /// are bit-identical either way; off exists for differential tests and
-  /// benchmarks.
-  bool columnar_filter = true;
 };
 
 class MetaQuerySession {
@@ -130,32 +87,18 @@ class MetaQuerySession {
   void set_options(const MetaQueryOptions& options);
 
   /// Spill activity of the most recent Query/Execute call. All zeros when
-  /// the query ran fully in memory (including whenever
+  /// the query ran fully in memory (always the case when
   /// memory_budget_bytes == 0).
   const SpillStats& last_spill_stats() const { return last_spill_stats_; }
-
-  /// Which executor ran the most recent Query/Execute: "reference",
-  /// "batched", or "out-of-core". Diagnostic hook for spill-policy tests.
-  const char* last_engine() const { return last_engine_; }
-
-  /// Columnar-filter engagement of the most recent Query/Execute. All
-  /// zeros when the query had no WHERE sweep (no predicate, predicate
-  /// fused into a join probe, or a non-batched engine ran).
-  const BatchExecStats& last_batch_stats() const { return last_batch_stats_; }
 
  private:
   Result<std::shared_ptr<Relation>> Lookup(const std::string& name) const;
 
-  /// spill_policy decision for one statement (given a nonzero budget).
-  bool SpillEngaged(const sql::SelectStmt& stmt) const;
-
-  /// Worker pool for batched execution; nullptr when running inline.
+  /// Worker pool for spilled partitions; nullptr when running inline.
   ThreadPool* PoolForQuery();
 
   MetaQueryOptions options_;
   SpillStats last_spill_stats_;
-  BatchExecStats last_batch_stats_;
-  const char* last_engine_ = "";
   /// Guards the lazily created worker pool. Pool creation races when
   /// several threads issue this session's first parallel query; the
   /// ThreadPool itself is thread-safe once published.

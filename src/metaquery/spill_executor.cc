@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
+#include <functional>
 #include <optional>
 #include <string>
 #include <utility>
@@ -30,8 +30,9 @@ constexpr size_t kJoinScatterFanout = 32;
 constexpr size_t kMergeFanIn = 16;
 
 // Everything an operator needs to spill: where to put files and how much
-// memory it may hold. `block_target` is the payload size spill blocks aim
-// for — a function of the budget alone, so spill layout is deterministic.
+// memory it may hold (SIZE_MAX when unbounded). `block_target` is the
+// payload size spill blocks aim for — a function of the budget alone, so
+// spill layout is deterministic.
 struct SpillContext {
   SpillManager* manager;
   size_t budget;
@@ -60,10 +61,29 @@ size_t PartOf(uint64_t hash, uint64_t seed, size_t fanout) {
   return static_cast<size_t>(SeededMix(hash, seed) % fanout);
 }
 
-// Earliest-row error across partitions. The batched engine reports the
-// error of the first failing row in batch order, which is the globally
-// smallest failing row index; partitioned operators reproduce that by
-// recording each partition's first error and keeping the smallest seq.
+/// Runs body(p) for every partition, on the pool when available. Bodies
+/// touch only their own partition's state. The first non-OK status in
+/// partition order is returned, so error reporting is deterministic.
+Status ForEachPartition(ThreadPool* pool, size_t nparts,
+                        const std::function<Status(size_t)>& body) {
+  if (pool == nullptr || nparts <= 1) {
+    for (size_t p = 0; p < nparts; ++p) {
+      DBFA_RETURN_IF_ERROR(body(p));
+    }
+    return Status::Ok();
+  }
+  std::vector<Status> statuses(nparts);
+  pool->ParallelFor(nparts, [&](size_t p) { statuses[p] = body(p); });
+  for (Status& st : statuses) {
+    if (!st.ok()) return std::move(st);
+  }
+  return Status::Ok();
+}
+
+// Earliest-row error across partitions. A query fails with the error of
+// its first failing row in seq order — what a sequential executor (the
+// reference) reports; partitioned operators reproduce that by recording
+// each partition's first error and keeping the smallest seq.
 struct SeqError {
   bool has = false;
   uint64_t seq = 0;
@@ -79,7 +99,7 @@ struct SeqError {
 };
 
 // Earliest-group error for aggregation emit, ordered by group key — the
-// order the batched engine emits groups in.
+// order groups are emitted in.
 struct KeyError {
   bool has = false;
   Record key;
@@ -107,6 +127,15 @@ struct KeyError {
 using RowFn = std::function<Status(uint64_t, const Record&)>;
 using RowSource = std::function<Status(const RowFn&)>;
 
+/// Runs `source` to completion, discarding its rows, and returns its error
+/// if it has one, else `s` — an upstream error keeps the precedence it has
+/// when every stage input is materialized before the stage runs.
+Status DrainThen(const RowSource& source, Status s) {
+  DBFA_RETURN_IF_ERROR(
+      source([](uint64_t, const Record&) { return Status::Ok(); }));
+  return s;
+}
+
 // ---- Runs: serialized row sequences in spill files -----------------------
 //
 // A run is a sequence of entries packed into checksummed blocks. Entries
@@ -123,7 +152,6 @@ class RunWriter {
 
   Status AddRecord(const Record& r) {
     sql::AppendRecord(r, &pending_);
-    ++entries_;
     return MaybeFlush();
   }
 
@@ -132,7 +160,6 @@ class RunWriter {
     WriteU64(buf, seq, /*big_endian=*/false);
     pending_.append(AsStringView(ByteView(buf, sizeof(buf))));
     sql::AppendRecord(r, &pending_);
-    ++entries_;
     return MaybeFlush();
   }
 
@@ -145,7 +172,6 @@ class RunWriter {
   }
 
   const SpillFile& file() const { return file_; }
-  size_t entries() const { return entries_; }
 
  private:
   RunWriter(SpillContext* ctx, SpillFile file)
@@ -159,7 +185,6 @@ class RunWriter {
   SpillContext* ctx_;
   SpillFile file_;
   std::string pending_;
-  size_t entries_ = 0;
 };
 
 class RunReader {
@@ -196,78 +221,6 @@ class RunReader {
   bool tagged_;
   std::string block_;
   size_t pos_ = 0;
-};
-
-// ---- RowBuffer: a budget-governed ordered row set ------------------------
-//
-// Rows stay in memory until their estimated footprint exceeds the budget,
-// then the whole buffer moves to a spill run and later rows append to it.
-// Iteration replays insertion order and hands out each row's sequence
-// number (its 0-based insertion index) — the seq space every downstream
-// determinism argument is built on.
-
-class RowBuffer {
- public:
-  explicit RowBuffer(SpillContext* ctx) : ctx_(ctx) {}
-
-  Status Add(Record row) {
-    bytes_ += sql::EstimateRecordMemoryBytes(row);
-    ++rows_;
-    if (run_.has_value()) return run_->AddRecord(row);
-    mem_.push_back(std::move(row));
-    if (bytes_ > ctx_->budget) {
-      DBFA_ASSIGN_OR_RETURN(RunWriter w, RunWriter::Create(ctx_));
-      run_.emplace(std::move(w));
-      for (const Record& r : mem_) {
-        DBFA_RETURN_IF_ERROR(run_->AddRecord(r));
-      }
-      mem_.clear();
-      mem_.shrink_to_fit();
-    }
-    return Status::Ok();
-  }
-
-  /// Must be called after the last Add and before ForEach.
-  Status Finish() {
-    if (run_.has_value()) return run_->Flush();
-    return Status::Ok();
-  }
-
-  size_t row_count() const { return rows_; }
-  /// Estimated in-memory footprint of the full row set (spilled or not) —
-  /// the deterministic size partitioning decisions are based on.
-  size_t byte_size() const { return bytes_; }
-  bool spilled() const { return run_.has_value(); }
-
-  /// Direct access for in-memory fast paths. Valid only when !spilled().
-  const std::vector<Record>& mem() const { return mem_; }
-
-  Status ForEach(
-      const std::function<Status(uint64_t, const Record&)>& fn) const {
-    if (!run_.has_value()) {
-      for (size_t i = 0; i < mem_.size(); ++i) {
-        DBFA_RETURN_IF_ERROR(fn(i, mem_[i]));
-      }
-      return Status::Ok();
-    }
-    DBFA_ASSIGN_OR_RETURN(RunReader reader,
-                          RunReader::Open(run_->file(), /*tagged=*/false));
-    Record row;
-    uint64_t seq = 0;
-    while (true) {
-      uint64_t unused = 0;
-      DBFA_ASSIGN_OR_RETURN(bool more, reader.Next(&unused, &row));
-      if (!more) return Status::Ok();
-      DBFA_RETURN_IF_ERROR(fn(seq++, row));
-    }
-  }
-
- private:
-  SpillContext* ctx_;
-  std::vector<Record> mem_;
-  std::optional<RunWriter> run_;
-  size_t rows_ = 0;
-  size_t bytes_ = 0;
 };
 
 // ---- TaggedBuffer: (seq, row) pairs with budget-governed spilling --------
@@ -510,50 +463,74 @@ Status JoinPartition(SpillContext* ctx, const SpillFile& left_file,
   }
 }
 
-/// Where a join leaves its output: a budget-governed buffer on the fast
-/// path, seq-tagged partition outputs on the partitioned path. Either way
-/// Source() replays the joined rows in exact in-memory probe order,
-/// renumbered 0..n-1 — the seq space the next operator builds on. Keeping
-/// partition outputs replayable (instead of merging them into yet another
-/// buffer) is what lets the downstream aggregation read the join result
+/// What a join hands downstream. Source() replays the joined rows in exact
+/// in-memory probe order, numbered 0..n-1 — the seq space the next
+/// operator builds on. On the fast path the right side's hash table stays
+/// in memory and every replay probes the left source as it streams, so
+/// joined rows are never buffered. On the partitioned path the seq-tagged
+/// partition outputs stay replayable (instead of being merged into yet
+/// another buffer), so a downstream aggregation reads the join result
 /// without an extra spill round trip.
 struct JoinOutput {
-  explicit JoinOutput(SpillContext* ctx) : buffer(ctx) {}
-
+  sql::BoundExprPtr fused_where;
+  // Fast path: the probe plan.
+  RowSource left;
+  size_t left_idx = 0;
+  std::vector<Record> right_rows;
+  JoinTable table;
+  // Partitioned path.
   bool partitioned = false;
-  RowBuffer buffer;
   std::vector<TaggedBuffer> parts;
 
   RowSource Source() {
-    if (!partitioned) {
-      return [this](const RowFn& fn) { return buffer.ForEach(fn); };
+    if (partitioned) {
+      return [this](const RowFn& fn) {
+        uint64_t seq = 0;
+        return MergeTaggedBySeq(parts, [&](uint64_t, const Record& row) {
+          return fn(seq++, row);
+        });
+      };
     }
+    // The first probe error is deferred until the left source drains, so a
+    // left-side error keeps precedence, and is then returned ahead of any
+    // downstream error.
     return [this](const RowFn& fn) {
+      Status probe_status;
       uint64_t seq = 0;
-      return MergeTaggedBySeq(parts, [&](uint64_t, const Record& row) {
-        return fn(seq++, row);
-      });
+      // dbfa:hot-loop-begin -- fast-path join probe, once per left row
+      DBFA_RETURN_IF_ERROR(left([&](uint64_t, const Record& row) {
+        if (!probe_status.ok()) return Status::Ok();  // drain: left first
+        Status s = ProbeJoinRow(
+            row, left_idx, table, right_rows, fused_where.get(),
+            [&](Record combined) { return fn(seq++, combined); });
+        if (!s.ok()) probe_status = std::move(s);
+        return Status::Ok();
+      }));
+      // dbfa:hot-loop-end
+      return probe_status;
     };
   }
 };
 
 /// The out-of-core join operator, fed by replayable sources. The right
 /// side collects in memory and, if it outgrows the budget, scatters into
-/// partition files as it streams — it is never buffered whole. The left
-/// side then either probes the in-memory table directly (the fast path,
-/// exactly the in-memory hash join) or scatters to matching partitions,
-/// which join independently and leave seq-tagged outputs in *out.
+/// partition files as it streams — it is never buffered whole. If it fits,
+/// *out keeps its hash table and probes the left side lazily, whenever its
+/// source is replayed (the fast path, exactly the in-memory hash join).
+/// Otherwise the left side scatters to matching partitions, which join
+/// independently and leave seq-tagged outputs in *out.
 ///
-/// Error ordering matches the batched engine, which materializes the left
-/// (FROM) side before the right and probes last: a left-side error beats a
-/// right-side scan error, which beats a probe error. Since this operator
-/// consumes the right side first, a right-side failure still drains the
-/// left source to give a left-side error precedence, and fast-path probe
-/// errors defer until the left source finishes.
+/// Error ordering matches an executor that materializes the left (FROM)
+/// side before the right and probes last, as the reference does: a
+/// left-side error beats a right-side scan error, which beats a probe
+/// error. Since this operator consumes the right side first, a right-side
+/// failure still drains the left source to give a left-side error
+/// precedence, and probe errors defer until the left source finishes.
 Status JoinOutOfCore(SpillContext* ctx, ThreadPool* pool,
                      const RowSource& left, const RowSource& right,
                      size_t left_idx, size_t right_idx,
-                     const sql::BoundExpr* fused_where, JoinOutput* out) {
+                     sql::BoundExprPtr fused_where, JoinOutput* out) {
+  out->fused_where = std::move(fused_where);
   std::vector<Record> right_mem;
   size_t right_bytes = 0;
   std::vector<JoinPartFiles> parts;
@@ -582,27 +559,16 @@ Status JoinOutOfCore(SpillContext* ctx, ThreadPool* pool,
     }
     return scatter_right(row, est);
   });
-  if (!right_status.ok()) {
-    DBFA_RETURN_IF_ERROR(
-        left([](uint64_t, const Record&) { return Status::Ok(); }));
-    return right_status;
-  }
+  if (!right_status.ok()) return DrainThen(left, std::move(right_status));
 
   if (parts.empty()) {
-    // Fast path: the right side fits; probe left rows as they stream.
-    JoinTable table = BuildJoinTable(right_mem, right_idx);
-    SeqError probe_err;
-    DBFA_RETURN_IF_ERROR(left([&](uint64_t seq, const Record& row) {
-      if (probe_err.has) return Status::Ok();  // drain: left errors first
-      Status s = ProbeJoinRow(row, left_idx, table, right_mem, fused_where,
-                              [out](Record combined) {
-                                return out->buffer.Add(std::move(combined));
-                              });
-      if (!s.ok()) probe_err.Note(seq, std::move(s));
-      return Status::Ok();
-    }));
-    if (probe_err.has) return std::move(probe_err.status);
-    return out->buffer.Finish();
+    // Fast path: the right side fits; Source() probes left rows as they
+    // stream.
+    out->table = BuildJoinTable(right_mem, right_idx);
+    out->right_rows = std::move(right_mem);
+    out->left = left;
+    out->left_idx = left_idx;
+    return Status::Ok();
   }
 
   DBFA_RETURN_IF_ERROR(left([&](uint64_t seq, const Record& row) {
@@ -618,12 +584,12 @@ Status JoinOutOfCore(SpillContext* ctx, ThreadPool* pool,
   out->parts.reserve(parts.size());
   for (size_t p = 0; p < parts.size(); ++p) out->parts.emplace_back(ctx);
   std::vector<SeqError> errs(parts.size());
-  DBFA_RETURN_IF_ERROR(ForEachBatch(pool, parts.size(), [&](size_t p) {
+  DBFA_RETURN_IF_ERROR(ForEachPartition(pool, parts.size(), [&](size_t p) {
     DBFA_RETURN_IF_ERROR(JoinPartition(
         ctx, parts[p].left->file(), parts[p].right->file(),
         parts[p].right_bytes, /*parent_right_bytes=*/SIZE_MAX, left_idx,
-        right_idx, fused_where, /*seed=*/1, /*depth=*/1, &out->parts[p],
-        &errs[p]));
+        right_idx, out->fused_where.get(), /*seed=*/1, /*depth=*/1,
+        &out->parts[p], &errs[p]));
     return out->parts[p].Finish();
   }));
   SeqError first;
@@ -636,13 +602,12 @@ Status JoinOutOfCore(SpillContext* ctx, ThreadPool* pool,
 
 // ---- Spillable aggregation ----------------------------------------------
 //
-// Replays the batched engine's result bit-for-bit: every group keeps one
-// partial accumulator set per batch index (seq / batch_rows) and folds
-// them in batch order at emit time, so double-precision sums re-associate
-// exactly like the in-memory merge of per-batch partials. The group's
-// representative row is its first row in seq order — what the in-memory
-// batch-order merge picks. Rows partition by group-key hash (a group never
-// splits), each partition emits its groups key-sorted, and the key-disjoint
+// Every group keeps one accumulator set and folds its rows in seq order —
+// the reference executor's sequential fold, so SUM/AVG over doubles
+// associate identically at every budget and thread count. The group's
+// representative row is its first row in seq order. Rows partition by
+// group-key hash (a group never splits, and every partition run keeps seq
+// order), each partition emits its groups key-sorted, and the key-disjoint
 // partition outputs merge by key into the global emission order.
 
 // (group key, output row) pairs, key-sorted. Aggregation output is part of
@@ -651,39 +616,50 @@ using GroupRows = std::vector<std::pair<Record, Record>>;
 
 struct AggGroup {
   Record rep;
-  // batch index -> per-item partial accumulators, kept sorted for the
-  // batch-order fold.
-  std::map<uint64_t, std::vector<Accumulator>> parts;
+  std::vector<Accumulator> accs;
 };
+using GroupTable =
+    std::unordered_map<Record, AggGroup, RecordHasher, RecordEq>;
 
-// Rough deterministic memory charges for group-table accounting; functions
-// of content only, never of container capacity.
-size_t GroupBaseBytes(const Record& key, const Record& rep) {
+// Rough deterministic memory charge of one group for group-table
+// accounting; a function of content only, never of container capacity.
+size_t GroupBytes(const Record& key, const Record& rep, size_t items) {
   return sql::EstimateRecordMemoryBytes(key) +
-         sql::EstimateRecordMemoryBytes(rep) + 64;
+         sql::EstimateRecordMemoryBytes(rep) + items * sizeof(Accumulator) +
+         112;
 }
-size_t GroupPartBytes(size_t items) {
-  return items * sizeof(Accumulator) + 48;
+
+// dbfa:hot-loop-begin -- aggregation fold, once per input row
+/// Folds `row` into its group, creating the group (and charging its bytes
+/// to *est) on first sight.
+Status FoldRow(const sql::SelectStmt& stmt, const AggPlan& plan,
+               const Record& row, GroupTable* groups, size_t* est) {
+  Record key;
+  DBFA_RETURN_IF_ERROR(MakeGroupKey(stmt, plan, row, &key));
+  auto [it, inserted] = groups->try_emplace(std::move(key));
+  AggGroup& g = it->second;
+  if (inserted) {
+    g.rep = row;
+    g.accs.resize(stmt.items.size());
+    *est += GroupBytes(it->first, g.rep, stmt.items.size());
+  }
+  return AccumulateRow(stmt, plan, row, &g.accs);
 }
+// dbfa:hot-loop-end
 
 Status EmitPartitionGroups(const sql::SelectStmt& stmt, const AggPlan& plan,
-                           std::unordered_map<Record, AggGroup, RecordHasher,
-                                              RecordEq>* groups,
-                           GroupRows* out, KeyError* emit_err) {
-  std::vector<std::pair<const Record*, AggGroup*>> ordered;
-  ordered.reserve(groups->size());
+                           const GroupTable& groups, GroupRows* out,
+                           KeyError* emit_err) {
+  std::vector<std::pair<const Record*, const AggGroup*>> ordered;
+  ordered.reserve(groups.size());
   // dbfa-lint: allow(unordered-iter): feeds the CompareRecords sort below.
-  for (auto& [key, g] : *groups) ordered.push_back({&key, &g});
+  for (const auto& [key, g] : groups) ordered.push_back({&key, &g});
   std::sort(ordered.begin(), ordered.end(), [](const auto& a, const auto& b) {
     return CompareRecords(*a.first, *b.first) < 0;
   });
-  for (auto& [key, g] : ordered) {
-    std::vector<Accumulator> final_accs(stmt.items.size());
-    for (const auto& [batch, accs] : g->parts) {
-      for (size_t i = 0; i < accs.size(); ++i) final_accs[i].Merge(accs[i]);
-    }
+  for (const auto& [key, g] : ordered) {
     Record row;
-    Status s = EmitGroupRow(stmt, plan, g->rep, final_accs, &row);
+    Status s = EmitGroupRow(stmt, plan, g->rep, g->accs, &row);
     if (!s.ok()) {
       emit_err->Note(*key, std::move(s));
       return Status::Ok();
@@ -718,10 +694,10 @@ void MergeGroupRows(std::vector<GroupRows> parts, GroupRows* out) {
 /// errors land in *acc_err (by seq), emit errors in *emit_err (by key).
 Status AggregatePartition(SpillContext* ctx, const SpillFile& file,
                           size_t bytes, const sql::SelectStmt& stmt,
-                          const AggPlan& plan, size_t batch_rows,
-                          uint64_t seed, int depth, GroupRows* out,
-                          SeqError* acc_err, KeyError* emit_err) {
-  std::unordered_map<Record, AggGroup, RecordHasher, RecordEq> groups;
+                          const AggPlan& plan, uint64_t seed, int depth,
+                          GroupRows* out, SeqError* acc_err,
+                          KeyError* emit_err) {
+  GroupTable groups;
   size_t est = 0;
   bool repartition = false;
   {
@@ -731,22 +707,7 @@ Status AggregatePartition(SpillContext* ctx, const SpillFile& file,
     while (true) {
       DBFA_ASSIGN_OR_RETURN(bool more, r.Next(&seq, &row));
       if (!more) break;
-      Record key;
-      Status s = MakeGroupKey(stmt, plan, row, &key);
-      if (s.ok()) {
-        auto [it, inserted] = groups.try_emplace(std::move(key));
-        AggGroup& g = it->second;
-        if (inserted) {
-          g.rep = row;
-          est += GroupBaseBytes(it->first, g.rep);
-        }
-        auto [pit, part_new] = g.parts.try_emplace(seq / batch_rows);
-        if (part_new) {
-          pit->second.resize(stmt.items.size());
-          est += GroupPartBytes(stmt.items.size());
-        }
-        s = AccumulateRow(stmt, plan, row, &pit->second);
-      }
+      Status s = FoldRow(stmt, plan, row, &groups, &est);
       if (!s.ok()) {
         acc_err->Note(seq, std::move(s));
         return Status::Ok();
@@ -759,7 +720,7 @@ Status AggregatePartition(SpillContext* ctx, const SpillFile& file,
   }
 
   if (!repartition) {
-    return EmitPartitionGroups(stmt, plan, &groups, out, emit_err);
+    return EmitPartitionGroups(stmt, plan, groups, out, emit_err);
   }
   groups.clear();
 
@@ -796,76 +757,21 @@ Status AggregatePartition(SpillContext* ctx, const SpillFile& file,
   std::vector<GroupRows> subouts(fanout);
   for (size_t p = 0; p < fanout; ++p) {
     DBFA_RETURN_IF_ERROR(AggregatePartition(
-        ctx, writers[p].file(), part_bytes[p], stmt, plan, batch_rows,
-        seed + 1, depth + 1, &subouts[p], acc_err, emit_err));
+        ctx, writers[p].file(), part_bytes[p], stmt, plan, seed + 1,
+        depth + 1, &subouts[p], acc_err, emit_err));
   }
   if (acc_err->has || emit_err->has) return Status::Ok();
   MergeGroupRows(std::move(subouts), out);
   return Status::Ok();
 }
 
-Status AggregateOutOfCore(SpillContext* ctx, ThreadPool* pool,
-                          const sql::SelectStmt& stmt, const AggPlan& plan,
-                          const RowSource& rows, size_t batch_rows,
-                          const std::function<Status(Record&&)>& emit) {
-  if (batch_rows == 0) batch_rows = 1024;  // MakeBatches' normalization
-
-  // Pass 1 (optimistic): fold the whole input into one partial-accumulator
-  // table — the same per-(group, batch) structure AggregatePartition keeps,
-  // so the emitted rows are bit-identical to the batched engine's. The
-  // input streams through without ever being buffered; only the group
-  // table counts against the budget. If the table outgrows the budget, or
-  // any row fails, the table is dropped and pass 2 replays the source
-  // through the general partitioned path, which re-derives any error with
-  // the exact batched ordering.
-  std::unordered_map<Record, AggGroup, RecordHasher, RecordEq> groups;
-  size_t est = 0;
-  size_t input_bytes = 0;  // total estimated input size, for pass-2 fanout
-  bool partials_live = true;
-  DBFA_RETURN_IF_ERROR(rows([&](uint64_t seq, const Record& row) {
-    input_bytes += sql::EstimateRecordMemoryBytes(row);
-    if (!partials_live) return Status::Ok();
-    Record key;
-    Status s = MakeGroupKey(stmt, plan, row, &key);
-    if (s.ok()) {
-      auto [it, inserted] = groups.try_emplace(std::move(key));
-      AggGroup& g = it->second;
-      if (inserted) {
-        g.rep = row;
-        est += GroupBaseBytes(it->first, g.rep);
-      }
-      auto [pit, part_new] = g.parts.try_emplace(seq / batch_rows);
-      if (part_new) {
-        pit->second.resize(stmt.items.size());
-        est += GroupPartBytes(stmt.items.size());
-      }
-      s = AccumulateRow(stmt, plan, row, &pit->second);
-    }
-    if (!s.ok() || est > ctx->budget) {
-      partials_live = false;
-      groups.clear();
-    }
-    return Status::Ok();
-  }));
-
-  if (partials_live) {
-    GroupRows merged;
-    KeyError emit_err;
-    DBFA_RETURN_IF_ERROR(
-        EmitPartitionGroups(stmt, plan, &groups, &merged, &emit_err));
-    if (emit_err.has) return std::move(emit_err.status);
-    if (merged.empty() && stmt.group_by.empty()) {
-      Record row;
-      DBFA_RETURN_IF_ERROR(EmitEmptyAggregateRow(stmt, &row));
-      return emit(std::move(row));
-    }
-    for (auto& [key, row] : merged) {
-      DBFA_RETURN_IF_ERROR(emit(std::move(row)));
-    }
-    return Status::Ok();
-  }
-
-  // Pass 2: replay into key-hashed partitions (a group never splits).
+/// Replays `rows` into key-hashed partitions (a group never splits) and
+/// aggregates them, on the pool when available, into *out (key order).
+/// `input_bytes` sizes the fan-out.
+Status AggregatePartitioned(SpillContext* ctx, ThreadPool* pool,
+                            const sql::SelectStmt& stmt, const AggPlan& plan,
+                            const RowSource& rows, size_t input_bytes,
+                            GroupRows* out) {
   size_t fanout = Fanout(input_bytes, ctx->budget);
   std::vector<RunWriter> writers;
   std::vector<size_t> part_bytes(fanout, 0);
@@ -895,10 +801,10 @@ Status AggregateOutOfCore(SpillContext* ctx, ThreadPool* pool,
   std::vector<GroupRows> outs(fanout);
   std::vector<SeqError> acc_errs(fanout);
   std::vector<KeyError> emit_errs(fanout);
-  DBFA_RETURN_IF_ERROR(ForEachBatch(pool, fanout, [&](size_t p) {
+  DBFA_RETURN_IF_ERROR(ForEachPartition(pool, fanout, [&](size_t p) {
     return AggregatePartition(ctx, writers[p].file(), part_bytes[p], stmt,
-                              plan, batch_rows, /*seed=*/1, /*depth=*/1,
-                              &outs[p], &acc_errs[p], &emit_errs[p]);
+                              plan, /*seed=*/1, /*depth=*/1, &outs[p],
+                              &acc_errs[p], &emit_errs[p]);
   }));
 
   SeqError first_acc = std::move(key_err);
@@ -911,10 +817,54 @@ Status AggregateOutOfCore(SpillContext* ctx, ThreadPool* pool,
     if (e.has) first_emit.Note(e.key, std::move(e.status));
   }
   if (first_emit.has) return std::move(first_emit.status);
+  MergeGroupRows(std::move(outs), out);
+  return Status::Ok();
+}
+
+Status AggregateOutOfCore(SpillContext* ctx, ThreadPool* pool,
+                          const sql::SelectStmt& stmt, const AggPlan& plan,
+                          const RowSource& rows,
+                          const std::function<Status(Record&&)>& emit) {
+  // Pass 1 (optimistic): fold the whole input into one group table. The
+  // input streams through without ever being buffered; only the group
+  // table counts against the budget. Rows fold in seq order, so the first
+  // failing row is the query's error — reported once the source drains, so
+  // upstream errors keep precedence. If the table outgrows the budget
+  // first, it is dropped and pass 2 replays the source through key-hashed
+  // partitions.
+  GroupTable groups;
+  size_t est = 0;
+  size_t input_bytes = 0;  // total estimated input size, for pass-2 fanout
+  bool over_budget = false;
+  SeqError row_err;
+  // dbfa:hot-loop-begin -- pass-1 aggregation sweep, once per input row
+  DBFA_RETURN_IF_ERROR(rows([&](uint64_t seq, const Record& row) {
+    input_bytes += sql::EstimateRecordMemoryBytes(row);
+    if (over_budget || row_err.has) return Status::Ok();
+    Status s = FoldRow(stmt, plan, row, &groups, &est);
+    if (!s.ok()) {
+      row_err.Note(seq, std::move(s));
+    } else if (est > ctx->budget) {
+      over_budget = true;
+      groups.clear();
+    }
+    return Status::Ok();
+  }));
+  // dbfa:hot-loop-end
+  if (row_err.has) return std::move(row_err.status);
 
   GroupRows merged;
-  MergeGroupRows(std::move(outs), &merged);
+  if (over_budget) {
+    DBFA_RETURN_IF_ERROR(AggregatePartitioned(ctx, pool, stmt, plan, rows,
+                                              input_bytes, &merged));
+  } else {
+    KeyError emit_err;
+    DBFA_RETURN_IF_ERROR(
+        EmitPartitionGroups(stmt, plan, groups, &merged, &emit_err));
+    if (emit_err.has) return std::move(emit_err.status);
+  }
   if (merged.empty() && stmt.group_by.empty()) {
+    // Aggregates over an empty input produce one row.
     Record row;
     DBFA_RETURN_IF_ERROR(EmitEmptyAggregateRow(stmt, &row));
     return emit(std::move(row));
@@ -931,9 +881,9 @@ Status AggregateOutOfCore(SpillContext* ctx, ThreadPool* pool,
 // budget-exempt) and LIMIT truncates. With ORDER BY, rows buffer up to the
 // budget, each full buffer stable-sorts into a consecutive run, and runs
 // merge with ties broken by run index — which is exactly std::stable_sort
-// over the whole input, the batched engine's sort. ORDER BY resolution
+// over the whole input, the reference executor's sort. ORDER BY resolution
 // failures are deferred to Finish so row-level errors upstream surface
-// first, matching the batched engine's error ordering.
+// first, matching the reference executor's error ordering.
 
 class FinalCollector {
  public:
@@ -1076,8 +1026,12 @@ Result<QueryTable> ExecuteOutOfCore(const sql::SelectStmt& stmt,
                                     const MetaQueryOptions& options,
                                     ThreadPool* pool, SpillStats* stats) {
   SpillManager manager(options.spill_dir);
-  SpillContext ctx{&manager, options.memory_budget_bytes,
-                   BlockTarget(options.memory_budget_bytes)};
+  // Budget 0 means unbounded: no operator ever reaches its spill threshold,
+  // so the (lazily created) spill directory is never touched.
+  size_t budget = options.memory_budget_bytes == 0
+                      ? SIZE_MAX
+                      : options.memory_budget_bytes;
+  SpillContext ctx{&manager, budget, BlockTarget(budget)};
   // Run the pipeline in a lambda so spill stats can be captured on every
   // exit path before ~SpillManager removes the files.
   // Stages are chained as replayable RowSources instead of materialized
@@ -1087,8 +1041,8 @@ Result<QueryTable> ExecuteOutOfCore(const sql::SelectStmt& stmt,
   // only when its optimistic single-pass table outgrows the budget.
   // Downstream per-row errors (probe, WHERE, projection) are deferred
   // until the upstream source finishes so that upstream errors keep the
-  // precedence they have in the batched engine, where every stage input
-  // is materialized before the stage runs.
+  // precedence they have in the reference executor, where every stage
+  // input is materialized before the stage runs.
   auto result = [&]() -> Result<QueryTable> {
     // ---- FROM: a replayable scan source ----------------------------
     DBFA_ASSIGN_OR_RETURN(auto base, lookup(stmt.from.table));
@@ -1128,49 +1082,55 @@ Result<QueryTable> ExecuteOutOfCore(const sql::SelectStmt& stmt,
         uint64_t seq = 0;
         return right->Scan([&](const Record& r) { return fn(seq++, r); });
       };
-      auto out = std::make_unique<JoinOutput>(&ctx);
+      auto out = std::make_unique<JoinOutput>();
       DBFA_RETURN_IF_ERROR(JoinOutOfCore(&ctx, pool, source, right_src,
                                          left_idx, right_idx,
-                                         fused_where.get(), out.get()));
+                                         std::move(fused_where), out.get()));
       source = out->Source();
       join_outs.push_back(std::move(out));
       frames.Add(join.table.EffectiveName(), right->columns());
     }
 
     // ---- WHERE -----------------------------------------------------
-    std::optional<RowBuffer> kept;
+    // A WHERE not fused into a join filters the scan as it streams; nothing
+    // is buffered. The filtered source renumbers surviving rows and, once
+    // its input is drained, fails with the first failing row's predicate
+    // error — so a scan error still wins, and a WHERE error beats every
+    // downstream row error, exactly as if the filter had run to completion
+    // first.
+    sql::BoundExprPtr where;
     if (stmt.where != nullptr && !where_fused) {
       DBFA_ASSIGN_OR_RETURN(
-          sql::BoundExprPtr where,
-          sql::BindExpr(*stmt.where, [&frames](std::string_view name) {
+          where, sql::BindExpr(*stmt.where, [&frames](std::string_view name) {
             return frames.Resolve(name);
           }));
-      kept.emplace(&ctx);
-      SeqError where_err;
-      DBFA_RETURN_IF_ERROR(source([&](uint64_t seq, const Record& row) {
-        if (where_err.has) return Status::Ok();  // drain: scan errors win
-        Result<bool> pass = sql::EvalBoundPredicate(*where, row);
-        if (!pass.ok()) {
-          where_err.Note(seq, pass.status());
-          return Status::Ok();
-        }
-        if (pass.value()) return kept->Add(row);
-        return Status::Ok();
-      }));
-      if (where_err.has) return std::move(where_err.status);
-      DBFA_RETURN_IF_ERROR(kept->Finish());
-      source = [&kept](const RowFn& fn) { return kept->ForEach(fn); };
+      source = [scan = std::move(source), &where](const RowFn& fn) {
+        Status where_status;
+        uint64_t out = 0;
+        // dbfa:hot-loop-begin -- WHERE sweep, once per input row
+        DBFA_RETURN_IF_ERROR(scan([&](uint64_t, const Record& row) {
+          // After a WHERE error, drain: a later scan error still wins.
+          if (!where_status.ok()) return Status::Ok();
+          Result<bool> pass = sql::EvalBoundPredicate(*where, row);
+          if (!pass.ok()) {
+            where_status = pass.status();
+            return Status::Ok();
+          }
+          return pass.value() ? fn(out++, row) : Status::Ok();
+        }));
+        // dbfa:hot-loop-end
+        return where_status;
+      };
     }
 
     // ---- Aggregation -----------------------------------------------
     if (stmt.HasAggregates() || !stmt.group_by.empty()) {
       std::vector<std::string> columns;
-      DBFA_ASSIGN_OR_RETURN(AggPlan plan,
-                            PlanAggregation(stmt, frames, &columns));
+      Result<AggPlan> plan = PlanAggregation(stmt, frames, &columns);
+      if (!plan.ok()) return DrainThen(source, plan.status());
       FinalCollector collector(&ctx, stmt, std::move(columns));
       DBFA_RETURN_IF_ERROR(AggregateOutOfCore(
-          &ctx, pool, stmt, plan, source, options.batch_rows,
-          [&collector](Record&& row) {
+          &ctx, pool, stmt, *plan, source, [&collector](Record&& row) {
             return collector.Add(std::move(row));
           }));
       return collector.Finish();
@@ -1178,20 +1138,22 @@ Result<QueryTable> ExecuteOutOfCore(const sql::SelectStmt& stmt,
 
     // ---- Projection ------------------------------------------------
     std::vector<std::string> columns;
-    DBFA_ASSIGN_OR_RETURN(ProjectionPlan plan,
-                          PlanProjection(stmt, frames, &columns));
+    Result<ProjectionPlan> plan = PlanProjection(stmt, frames, &columns);
+    if (!plan.ok()) return DrainThen(source, plan.status());
     FinalCollector collector(&ctx, stmt, std::move(columns));
     SeqError proj_err;
+    // dbfa:hot-loop-begin -- projection, once per output row
     DBFA_RETURN_IF_ERROR(source([&](uint64_t seq, const Record& row) {
       if (proj_err.has) return Status::Ok();  // drain: upstream errors win
       Record p;
-      Status s = ProjectRow(plan, row, &p);
+      Status s = ProjectRow(*plan, row, &p);
       if (!s.ok()) {
         proj_err.Note(seq, std::move(s));
         return Status::Ok();
       }
       return collector.Add(std::move(p));
     }));
+    // dbfa:hot-loop-end
     if (proj_err.has) return std::move(proj_err.status);
     return collector.Finish();
   }();

@@ -1,15 +1,15 @@
-// The out-of-core meta-query executor: the same logical pipeline as the
-// batched engine (scan -> join -> filter -> aggregate/project -> order/
-// limit), but every unbounded intermediate is governed by
-// MetaQueryOptions::memory_budget_bytes. Row sets that outgrow the budget
-// move to checksummed spill files (common/spill_manager.h); ORDER BY runs
-// an external merge sort, joins fall back to a recursive grace hash join,
-// and GROUP BY re-partitions oversized group tables.
+// The meta-query engine: a streaming pipeline (scan -> join -> filter ->
+// aggregate/project -> order/limit) in which every unbounded intermediate
+// is governed by MetaQueryOptions::memory_budget_bytes (0 = unbounded).
+// Row sets that outgrow the budget move to checksummed spill files
+// (common/spill_manager.h); ORDER BY runs an external merge sort, joins
+// fall back to a recursive grace hash join, and GROUP BY re-partitions
+// oversized group tables.
 //
-// The engine is bit-identical to the batched executor for every query, at
-// every (budget, thread count, batch size) combination — the construction
-// is documented in docs/spilling.md and enforced by the three-way
-// differential test.
+// Results are bit-identical to the tuple-at-a-time reference executor
+// (tests/oracles/) at every (budget, thread count) combination — the
+// construction is documented in docs/metaquery_engine.md and
+// docs/spilling.md and enforced by the differential test.
 #ifndef DBFA_METAQUERY_SPILL_EXECUTOR_H_
 #define DBFA_METAQUERY_SPILL_EXECUTOR_H_
 
@@ -20,10 +20,10 @@
 
 namespace dbfa::metaquery_internal {
 
-/// Executes `stmt` under options.memory_budget_bytes (> 0). Spill files
-/// live in a unique directory under options.spill_dir (system temp when
-/// empty) and are removed on every exit path. When `stats` is non-null it
-/// receives the query's spill counters.
+/// Executes `stmt` under options.memory_budget_bytes (0 = unbounded). Spill
+/// files live in a unique directory under options.spill_dir (system temp
+/// when empty), created on first spill and removed on every exit path.
+/// When `stats` is non-null it receives the query's spill counters.
 Result<QueryTable> ExecuteOutOfCore(const sql::SelectStmt& stmt,
                                     const RelationResolver& lookup,
                                     const MetaQueryOptions& options,

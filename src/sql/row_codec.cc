@@ -132,9 +132,9 @@ size_t EstimateRecordMemoryBytes(const Record& r) {
   // string alternative owns heap bytes proportional to its size.
   size_t bytes = sizeof(Record) + r.size() * sizeof(Value);
   for (const Value& v : r) {
-    // Interned strings live in their pool's arena, which the pool owner
-    // accounts for once (ArtifactRelation::EstimatedBytes); counting them
-    // per cell here would bill shared bytes per occurrence.
+    // Interned strings live in their pool's arena, shared by every row of
+    // the carve; counting them per cell here would bill shared bytes per
+    // occurrence.
     if (v.type() == ValueType::kString && !v.is_interned()) {
       bytes += v.as_string().size();
     }

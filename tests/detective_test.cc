@@ -5,6 +5,7 @@
 #include "core/carver.h"
 #include "detective/confidence.h"
 #include "detective/dbdetective.h"
+#include "oracles/detective_reference.h"
 #include "storage/dialects.h"
 #include "workload/synthetic.h"
 
@@ -355,8 +356,8 @@ TEST(ConfidenceTest, EvidenceReuseLowersResidueRatio) {
 TEST(DetectiveTest, PreboundMatcherMatchesReferenceImplementation) {
   // The prebound matcher (predicates bound per carved schema once,
   // statements bucketed per table) must produce exactly the report of the
-  // original name-resolving tuple-at-a-time path, findings in the same
-  // order, on a workload that mixes logged activity with unlogged
+  // name-resolving tuple-at-a-time oracle (tests/oracles/), findings in the
+  // same order, on a workload that mixes logged activity with unlogged
   // INSERT/DELETE/UPDATE tampering.
   auto db = Database::Open(DatabaseOptions{});
   ASSERT_TRUE(db.ok());
@@ -378,17 +379,13 @@ TEST(DetectiveTest, PreboundMatcherMatchesReferenceImplementation) {
   auto carve = CarveDisk(db->get());
   ASSERT_TRUE(carve.ok());
   DbDetective prebound(&*carve, &(*db)->audit_log());
-  DetectiveOptions reference_options;
-  reference_options.prebind = false;
-  DbDetective reference(&*carve, &(*db)->audit_log(), nullptr,
-                        reference_options);
 
   size_t fast_deleted = 0, fast_active = 0;
   size_t ref_deleted = 0, ref_active = 0;
   auto fast =
       prebound.FindUnattributedModifications(&fast_deleted, &fast_active);
-  auto ref =
-      reference.FindUnattributedModifications(&ref_deleted, &ref_active);
+  auto ref = detective_internal::FindUnattributedModificationsReference(
+      *carve, (*db)->audit_log(), &ref_deleted, &ref_active);
   ASSERT_TRUE(fast.ok()) << fast.status().ToString();
   ASSERT_TRUE(ref.ok()) << ref.status().ToString();
   EXPECT_EQ(fast_deleted, ref_deleted);

@@ -1,22 +1,25 @@
-// Differential suite, three ways: the tuple-at-a-time reference executor
-// is the oracle, and both the batched engine (several thread counts and
-// batch sizes) and the out-of-core engine (budgets from 4 KB to 1 MB —
-// every operator forced to spill — across thread counts) must reproduce
+// Differential suite: the tuple-at-a-time reference executor
+// (tests/oracles/) is the oracle, and the streaming engine must reproduce
 // its results exactly — same column names, same rows, same order, same
-// value types, bit-identical doubles. Runs under the `sanitize` CTest
-// label so TSan sees the parallel operators with real thread
-// interleavings, and under `spill` for the low-budget CI job.
+// value types, bit-identical doubles — at every memory budget (0 =
+// unbounded, then 4 KiB to 1 MiB, where 4 KiB forces every operator to
+// spill) and thread count. Runs under the `sanitize` CTest label so TSan
+// sees the parallel partitions with real thread interleavings, and under
+// `spill` for the low-budget CI job.
 //
-// Double-valued columns only hold multiples of 0.25 in a small range, so
-// every SUM/AVG is exact in binary floating point and batched
-// re-association cannot introduce rounding differences (the engine's
-// FP-determinism contract is batch-geometry-fixed ordering, not
-// re-association-freedom; see docs/metaquery_engine.md).
+// Double-valued columns hold multiples of 0.1, which binary floating point
+// cannot represent exactly, so SUM/AVG agree only because both executors
+// fold each group's rows in input order (docs/metaquery_engine.md).
 #include <gtest/gtest.h>
+
+#include <map>
+#include <variant>
 
 #include "common/rng.h"
 #include "common/strings.h"
 #include "metaquery/session.h"
+#include "oracles/reference_executor.h"
+#include "sql/parser.h"
 
 namespace dbfa {
 namespace {
@@ -44,9 +47,63 @@ void ExpectSameTable(const QueryTable& expected, const QueryTable& actual,
   }
 }
 
+using RelationMap = std::map<std::string, std::shared_ptr<Relation>>;
+
+/// Runs `query` on the reference executor over `relations` (names matched
+/// case-insensitively, as MetaQuerySession does).
+Result<QueryTable> QueryReference(const std::string& query,
+                                  const RelationMap& relations) {
+  DBFA_ASSIGN_OR_RETURN(sql::Statement stmt, sql::ParseStatement(query));
+  const auto* select = std::get_if<sql::SelectStmt>(&stmt);
+  if (select == nullptr) return Status::InvalidArgument("not a SELECT");
+  return metaquery_internal::ExecuteReference(
+      *select,
+      [&](const std::string& name) -> Result<std::shared_ptr<Relation>> {
+        auto it = relations.find(ToLower(name));
+        if (it == relations.end()) {
+          return Status::NotFound("unknown relation: " + name);
+        }
+        return it->second;
+      });
+}
+
+/// Every query against the reference, then against the streaming engine at
+/// budgets {unbounded, 4 KiB, 64 KiB, 1 MiB} x threads {1, 2, 8}.
+void ExpectEngineMatchesReference(const std::vector<std::string>& queries,
+                                  const RelationMap& relations) {
+  for (const std::string& query : queries) {
+    auto expected = QueryReference(query, relations);
+    ASSERT_TRUE(expected.ok())
+        << query << ": " << expected.status().ToString();
+    for (size_t budget : {0u, 4096u, 65536u, 1048576u}) {
+      for (size_t threads : {1u, 2u, 8u}) {
+        MetaQueryOptions options;
+        options.num_threads = threads;
+        options.memory_budget_bytes = budget;
+        MetaQuerySession session(options);
+        for (const auto& [name, relation] : relations) {
+          session.Register(name, relation);
+        }
+        auto actual = session.Query(query);
+        ASSERT_TRUE(actual.ok())
+            << query << ": " << actual.status().ToString();
+        ExpectSameTable(*expected, *actual,
+                        StrFormat("[budget=%zu threads=%zu] %s", budget,
+                                  threads, query.c_str()));
+      }
+    }
+  }
+}
+
+/// A double in 0.1 steps — not exactly representable, so any change in
+/// summation order shows up in the low bits.
+Value TenthsValue(Rng* rng, int64_t lo, int64_t hi) {
+  return Value::Real(0.1 * static_cast<double>(rng->Uniform(lo, hi)));
+}
+
 /// T1(id, g, d, s): sequential ids; g a small int with NULLs (GROUP BY
-/// with NULL keys); d a double that is always a multiple of 0.25 with
-/// heavy ties (ORDER BY DESC with ties); s a short word from a small pool.
+/// with NULL keys); d a double in 0.1 steps with heavy ties (ORDER BY DESC
+/// with ties); s a short word from a small pool.
 std::shared_ptr<Relation> MakeT1(Rng* rng, size_t n) {
   std::vector<std::string> pool = {"ant", "bee", "cat", "dog", "elk"};
   std::vector<Record> rows;
@@ -55,9 +112,8 @@ std::shared_ptr<Relation> MakeT1(Rng* rng, size_t n) {
     r.push_back(Value::Int(static_cast<int64_t>(i)));
     r.push_back(rng->Bernoulli(0.15) ? Value::Null()
                                      : Value::Int(rng->Uniform(0, 4)));
-    r.push_back(rng->Bernoulli(0.1)
-                    ? Value::Null()
-                    : Value::Real(0.25 * static_cast<double>(rng->Uniform(-40, 40))));
+    r.push_back(rng->Bernoulli(0.1) ? Value::Null()
+                                    : TenthsValue(rng, -100, 100));
     r.push_back(Value::Str(rng->Pick(pool)));
     rows.push_back(std::move(r));
   }
@@ -166,14 +222,9 @@ class MetaQueryDifferentialTest : public ::testing::Test {
  protected:
   void RunDifferential(uint64_t seed, size_t t1_rows, size_t t2_rows) {
     Rng rng(seed);
-    auto t1 = MakeT1(&rng, t1_rows);
-    auto t2 = MakeT2(&rng, t2_rows, 6);
-
-    MetaQueryOptions ref_options;
-    ref_options.use_reference = true;
-    MetaQuerySession reference(ref_options);
-    reference.Register("T1", t1);
-    reference.Register("T2", t2);
+    RelationMap relations;
+    relations["t1"] = MakeT1(&rng, t1_rows);
+    relations["t2"] = MakeT2(&rng, t2_rows, 6);
 
     std::vector<std::string> queries;
     // Fixed regression shapes first, then randomized ones.
@@ -185,120 +236,7 @@ class MetaQueryDifferentialTest : public ::testing::Test {
     queries.push_back(
         "SELECT COUNT(*) AS n FROM T1 WHERE id < 0");  // empty input
     for (int q = 0; q < 24; ++q) queries.push_back(RandomQuery(&rng));
-
-    for (const std::string& query : queries) {
-      auto expected = reference.Query(query);
-      ASSERT_TRUE(expected.ok())
-          << query << ": " << expected.status().ToString();
-      for (size_t threads : {1u, 2u, 4u, 8u}) {
-        for (size_t batch_rows : {64u, 1024u}) {
-          MetaQueryOptions options;
-          options.num_threads = threads;
-          options.batch_rows = batch_rows;
-          MetaQuerySession session(options);
-          session.Register("T1", t1);
-          session.Register("T2", t2);
-          auto actual = session.Query(query);
-          ASSERT_TRUE(actual.ok())
-              << query << ": " << actual.status().ToString();
-          ExpectSameTable(*expected, *actual,
-                          StrFormat("[threads=%zu batch=%zu] %s", threads,
-                                    batch_rows, query.c_str()));
-        }
-      }
-      // Columnar leg: the batched runs above execute with the columnar
-      // WHERE filter enabled (the default); the same grid with the
-      // columnar kernels forced off must produce the identical table, so
-      // any divergence between the two filter implementations is caught
-      // here query-by-query. 8 threads stresses engagement bookkeeping
-      // under real interleavings (this suite runs under TSan).
-      for (size_t threads : {1u, 2u, 8u}) {
-        for (size_t batch_rows : {64u, 1024u}) {
-          MetaQueryOptions options;
-          options.num_threads = threads;
-          options.batch_rows = batch_rows;
-          options.columnar_filter = false;
-          MetaQuerySession session(options);
-          session.Register("T1", t1);
-          session.Register("T2", t2);
-          auto actual = session.Query(query);
-          ASSERT_TRUE(actual.ok())
-              << query << ": " << actual.status().ToString();
-          ExpectSameTable(*expected, *actual,
-                          StrFormat("[columnar=off threads=%zu batch=%zu] %s",
-                                    threads, batch_rows, query.c_str()));
-          EXPECT_EQ(session.last_batch_stats().columnar_batches, 0u) << query;
-        }
-      }
-      // Out-of-core engine: 4 KB spills every operator on these tables,
-      // 1 MB spills almost nothing; all budgets must agree with the
-      // unlimited runs above at every thread count.
-      for (size_t budget : {4096u, 65536u, 1048576u}) {
-        for (size_t threads : {1u, 2u, 8u}) {
-          MetaQueryOptions options;
-          options.num_threads = threads;
-          options.batch_rows = 64;
-          options.memory_budget_bytes = budget;
-          MetaQuerySession session(options);
-          session.Register("T1", t1);
-          session.Register("T2", t2);
-          auto actual = session.Query(query);
-          ASSERT_TRUE(actual.ok())
-              << query << ": " << actual.status().ToString();
-          ExpectSameTable(*expected, *actual,
-                          StrFormat("[budget=%zu threads=%zu] %s", budget,
-                                    threads, query.c_str()));
-        }
-      }
-      // spill_policy three ways: kNever pins the in-memory engine even
-      // under a budget, kAuto routes by estimated working set — and both
-      // must agree with the oracle whatever engine they land on.
-      for (SpillPolicy policy : {SpillPolicy::kNever, SpillPolicy::kAuto}) {
-        for (size_t budget : {4096u, 1u << 28}) {
-          MetaQueryOptions options;
-          options.num_threads = 2;
-          options.batch_rows = 64;
-          options.memory_budget_bytes = budget;
-          options.spill_policy = policy;
-          MetaQuerySession session(options);
-          session.Register("T1", t1);
-          session.Register("T2", t2);
-          auto actual = session.Query(query);
-          ASSERT_TRUE(actual.ok())
-              << query << ": " << actual.status().ToString();
-          ExpectSameTable(
-              *expected, *actual,
-              StrFormat("[policy=%d budget=%zu] %s",
-                        static_cast<int>(policy), budget, query.c_str()));
-          if (policy == SpillPolicy::kNever) {
-            EXPECT_STREQ(session.last_engine(), "batched") << query;
-          } else if (budget == (1u << 28)) {
-            // These tables are far under 128 MB; kAuto must stay in memory.
-            EXPECT_STREQ(session.last_engine(), "batched") << query;
-          } else if (t1->EstimatedBytes().value_or(0) > budget) {
-            // Every query reads T1, so the working set alone overruns the
-            // tight budget; kAuto must engage the out-of-core engine.
-            EXPECT_STREQ(session.last_engine(), "out-of-core") << query;
-          }
-        }
-      }
-      {
-        // Spot-check the default batch geometry under the tightest budget.
-        MetaQueryOptions options;
-        options.num_threads = 2;
-        options.batch_rows = 1024;
-        options.memory_budget_bytes = 4096;
-        MetaQuerySession session(options);
-        session.Register("T1", t1);
-        session.Register("T2", t2);
-        auto actual = session.Query(query);
-        ASSERT_TRUE(actual.ok()) << query << ": "
-                                 << actual.status().ToString();
-        ExpectSameTable(*expected, *actual,
-                        StrFormat("[budget=4096 batch=1024] %s",
-                                  query.c_str()));
-      }
-    }
+    ExpectEngineMatchesReference(queries, relations);
   }
 };
 
@@ -316,9 +254,76 @@ TEST_F(MetaQueryDifferentialTest, TinyAndEmptyRelations) {
 }
 
 TEST_F(MetaQueryDifferentialTest, BatchBoundaryExactMultiples) {
-  // Row counts landing exactly on batch boundaries (64 * k) exercise the
-  // empty-last-batch and full-last-batch edges of the batch grid.
+  // Power-of-two row counts: inputs that end exactly where a spill run or a
+  // partition boundary would fall in a naive layout.
   RunDifferential(/*seed=*/505, /*t1_rows=*/128, /*t2_rows=*/64);
+}
+
+TEST_F(MetaQueryDifferentialTest, TenthStepDoubleSumsMatchSequentialFold) {
+  // SUM/AVG over doubles in 0.1 steps are sensitive to summation order: any
+  // engine that folds a group's rows in a different association (per-batch
+  // partials, per-partition merges) diverges from the reference here. 40
+  // groups over 3000 rows overflow the 4 KiB and 64 KiB group tables, so
+  // the partitioned aggregation path is covered too.
+  Rng rng(606);
+  std::vector<Record> rows;
+  for (int64_t i = 0; i < 3000; ++i) {
+    rows.push_back({Value::Int(i), Value::Int(rng.Uniform(0, 39)),
+                    rng.Bernoulli(0.05) ? Value::Null()
+                                        : TenthsValue(&rng, -5000, 5000)});
+  }
+  RelationMap relations;
+  relations["t"] = std::make_shared<VectorRelation>(
+      std::vector<std::string>{"id", "g", "d"}, std::move(rows));
+  relations["t2"] = MakeT2(&rng, 200, 40);
+  ExpectEngineMatchesReference(
+      {
+          "SELECT g, SUM(d), AVG(d) FROM T GROUP BY g",
+          "SELECT g, SUM(d), AVG(d) FROM T WHERE id >= 7 GROUP BY g "
+          "ORDER BY g DESC",
+          "SELECT SUM(d), AVG(d) FROM T",
+          "SELECT w, SUM(d), AVG(d) FROM T JOIN T2 ON g = k GROUP BY w",
+      },
+      relations);
+}
+
+TEST_F(MetaQueryDifferentialTest, ErrorsMatchReference) {
+  // Failing queries fail with the reference's error at every budget and
+  // thread count — including which error wins when several stages would
+  // fail: a WHERE error beats a GROUP BY planning error, as it does when
+  // every stage runs to completion before the next.
+  Rng rng(707);
+  RelationMap relations;
+  relations["t1"] = MakeT1(&rng, 300);
+  relations["t2"] = MakeT2(&rng, 60, 6);
+  for (const char* query : {
+           "SELECT id FROM T1 WHERE s + 1 > 0",
+           "SELECT g, COUNT(*) AS n FROM T1 WHERE s + 1 > 0 GROUP BY nope",
+           "SELECT id, s * 2 AS x FROM T1 WHERE id >= 0",
+           "SELECT g, SUM(s + 1) AS x FROM T1 GROUP BY g",
+           "SELECT id FROM T1 ORDER BY nosuch",
+           "SELECT T1.id FROM T1 JOIN T2 ON zz = qq",
+           "SELECT id FROM missing",
+       }) {
+    auto expected = QueryReference(query, relations);
+    ASSERT_FALSE(expected.ok()) << query;
+    for (size_t budget : {0u, 4096u}) {
+      for (size_t threads : {1u, 8u}) {
+        MetaQueryOptions options;
+        options.num_threads = threads;
+        options.memory_budget_bytes = budget;
+        MetaQuerySession session(options);
+        for (const auto& [name, relation] : relations) {
+          session.Register(name, relation);
+        }
+        auto actual = session.Query(query);
+        ASSERT_FALSE(actual.ok()) << query;
+        EXPECT_EQ(expected.status().ToString(), actual.status().ToString())
+            << "[budget=" << budget << " threads=" << threads << "] "
+            << query;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-// Out-of-core engine tests: budget-fuzzed equivalence against the
-// unlimited in-memory engine, adversarial skew (join keys and groups that
+// Out-of-core tests: budget-fuzzed equivalence against the unbounded
+// (budget 0) run, adversarial skew (join keys and groups that
 // hash-partitioning cannot split), the 8x-over-budget join+aggregation
 // acceptance shape, spill accounting, error parity, and temp-file hygiene
 // — the spill directory must be empty after every query, including one
-// aborted by a mid-scan failure.
+// aborted by a mid-scan failure, and never created at budget 0.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -149,15 +149,13 @@ TEST(MetaQuerySpillTest, BudgetFuzzMatchesUnlimited) {
 
     MetaQueryOptions options;
     options.num_threads = rng.Bernoulli(0.5) ? 1 : 4;
-    options.batch_rows = rng.Bernoulli(0.5) ? 64 : 1024;
     options.memory_budget_bytes = budget;
     std::unique_ptr<MetaQuerySession> spilled = MakeSession(fact, dim, options);
     auto actual = spilled->Query(query);
     ASSERT_TRUE(actual.ok()) << query << ": " << actual.status().ToString();
     ExpectSameTable(*expected, *actual,
-                    StrFormat("[budget=%zu threads=%zu batch=%zu] %s", budget,
-                              options.num_threads, options.batch_rows,
-                              query.c_str()));
+                    StrFormat("[budget=%zu threads=%zu] %s", budget,
+                              options.num_threads, query.c_str()));
   }
 }
 
@@ -224,8 +222,8 @@ TEST(MetaQuerySpillTest, SkewedJoinKeyCannotBeSplit) {
 }
 
 TEST(MetaQuerySpillTest, SingleGroupAggregationOverBudget) {
-  // One group over a large input: the group table can never split, but the
-  // per-batch partials must still fold in batch order for exact doubles.
+  // One group over a large input: the group table can never split, and its
+  // rows must still fold in input order for exact doubles.
   Rng rng(11);
   auto fact = MakeFact(&rng, 3000, 5);
   auto dim = MakeDim(&rng, 10, 5);
@@ -239,7 +237,6 @@ TEST(MetaQuerySpillTest, SingleGroupAggregationOverBudget) {
 
   MetaQueryOptions options;
   options.memory_budget_bytes = 1024;
-  options.batch_rows = 64;
   std::unique_ptr<MetaQuerySession> spilled = MakeSession(fact, dim, options);
   auto actual = spilled->Query(query);
   ASSERT_TRUE(actual.ok()) << actual.status().ToString();
@@ -264,59 +261,48 @@ TEST(MetaQuerySpillTest, SpillStatsReporting) {
   EXPECT_FALSE(session->last_spill_stats().spilled());
   EXPECT_EQ(session->last_spill_stats().files_created, 0u);
 
-  // ...and the in-memory engine always reports zeros.
+  // ...and budget 0 (unbounded) always reports zeros.
   options.memory_budget_bytes = 0;
   session->set_options(options);
   ASSERT_TRUE(session->Query("SELECT id, d FROM fact ORDER BY d").ok());
   EXPECT_FALSE(session->last_spill_stats().spilled());
 }
 
-TEST(MetaQuerySpillTest, SpillPolicyRoutesEngineByWorkingSet) {
-  Rng rng(19);
-  auto fact = MakeFact(&rng, 800, 8);
-  auto dim = MakeDim(&rng, 100, 8);
-  const std::string query = "SELECT id, d FROM fact ORDER BY d";
+TEST(MetaQuerySpillTest, BudgetZeroNeverTouchesSpillDir) {
+  // Budget 0 means unbounded: a join, a GROUP BY and an ORDER BY all run in
+  // memory, so no spill file is written and the lazily created per-query
+  // directory never appears under spill_dir.
+  Rng rng(29);
+  auto fact = MakeFact(&rng, 1500, 10);
+  auto dim = MakeDim(&rng, 300, 10);
+  std::string spill_root =
+      (fs::path(::testing::TempDir()) / "spill_budget_zero").string();
+  fs::remove_all(spill_root);
+  fs::create_directories(spill_root);
 
-  // kAlways (the default) preserves the pre-policy contract: any budget
-  // routes out-of-core.
   MetaQueryOptions options;
-  options.memory_budget_bytes = size_t{64} << 20;
+  options.num_threads = 4;
+  options.memory_budget_bytes = 0;
+  options.spill_dir = spill_root;
   std::unique_ptr<MetaQuerySession> session = MakeSession(fact, dim, options);
-  ASSERT_TRUE(session->Query(query).ok());
-  EXPECT_STREQ(session->last_engine(), "out-of-core");
-
-  // kNever pins the in-memory engine even under a tight budget.
-  options.memory_budget_bytes = 4096;
-  options.spill_policy = SpillPolicy::kNever;
-  session->set_options(options);
-  ASSERT_TRUE(session->Query(query).ok());
-  EXPECT_STREQ(session->last_engine(), "batched");
-
-  // kAuto compares the estimated working set against the budget: the same
-  // query spills under 4 KB and stays in memory under 64 MB.
-  options.spill_policy = SpillPolicy::kAuto;
-  session->set_options(options);
-  ASSERT_TRUE(session->Query(query).ok());
-  EXPECT_STREQ(session->last_engine(), "out-of-core");
-  EXPECT_TRUE(session->last_spill_stats().spilled());
-
-  options.memory_budget_bytes = size_t{64} << 20;
-  session->set_options(options);
-  ASSERT_TRUE(session->Query(query).ok());
-  EXPECT_STREQ(session->last_engine(), "batched");
-
-  // A join under kAuto sums both inputs' estimates.
-  options.memory_budget_bytes = 4096;
-  session->set_options(options);
-  ASSERT_TRUE(
-      session->Query("SELECT fact.id, dim.w FROM fact JOIN dim "
-                     "ON fact.k = dim.k ORDER BY fact.id, dim.w LIMIT 10")
-          .ok());
-  EXPECT_STREQ(session->last_engine(), "out-of-core");
-
-  // Unknown relations fall through to the executor's error path with the
-  // conservative (spill) choice — never a crash.
-  EXPECT_FALSE(session->Query("SELECT * FROM missing").ok());
+  for (const char* query : {
+           "SELECT fact.id, dim.w FROM fact JOIN dim ON fact.k = dim.k",
+           "SELECT g, COUNT(*) AS n, SUM(d) AS sd FROM fact GROUP BY g",
+           "SELECT id, d, s FROM fact ORDER BY d DESC, id",
+       }) {
+    auto result = session->Query(query);
+    ASSERT_TRUE(result.ok()) << query << ": " << result.status().ToString();
+    ASSERT_FALSE(result->rows.empty()) << query;
+    const SpillStats& stats = session->last_spill_stats();
+    EXPECT_EQ(stats.files_created, 0u) << query;
+    EXPECT_EQ(stats.blocks_written, 0u) << query;
+    EXPECT_EQ(stats.bytes_written, 0u) << query;
+    EXPECT_EQ(stats.blocks_read, 0u) << query;
+    EXPECT_EQ(stats.bytes_read, 0u) << query;
+    EXPECT_FALSE(stats.spilled()) << query;
+    EXPECT_EQ(DirEntries(spill_root), 0u)
+        << query << ": a budget-0 query created a spill directory";
+  }
 }
 
 TEST(MetaQuerySpillTest, SpillDirEmptyAfterSuccess) {

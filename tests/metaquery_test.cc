@@ -3,7 +3,6 @@
 
 #include "common/string_pool.h"
 #include "core/carver.h"
-#include "metaquery/column_batch.h"
 #include "metaquery/session.h"
 #include "storage/dialects.h"
 
@@ -276,90 +275,6 @@ TEST(MetaQueryTest, ToTextRendersNullsDoublesAndInternedStrings) {
   EXPECT_NE(text.find("| 2.5"), std::string::npos);
   EXPECT_NE(text.find("| owned"), std::string::npos);
   EXPECT_NE(text.find("| interned"), std::string::npos);
-}
-
-TEST(ColumnBatchTest, RoundTripsTypedNullAndMixedColumns) {
-  using metaquery_internal::ColumnBatch;
-  StringPool pool;
-  std::vector<Record> rows = {
-      {Value::Int(1), Value::Real(0.5), Value::Str("a"), Value::Null(),
-       Value::Int(10)},
-      {Value::Int(2), Value::Null(), Value::InternedStr(pool.Intern("b")),
-       Value::Null(), Value::Str("mixed")},
-      {Value::Null(), Value::Real(-1.25), Value::Str("a"), Value::Null(),
-       Value::Real(3.5)},
-  };
-  ColumnBatch batch = ColumnBatch::FromRecords(rows, 0, rows.size());
-  ASSERT_EQ(batch.rows(), 3u);
-  ASSERT_EQ(batch.width(), 5u);
-  EXPECT_EQ(batch.column(0).type, ColumnBatch::ColType::kInt);
-  EXPECT_EQ(batch.column(1).type, ColumnBatch::ColType::kDouble);
-  EXPECT_EQ(batch.column(2).type, ColumnBatch::ColType::kString);
-  EXPECT_EQ(batch.column(3).type, ColumnBatch::ColType::kNullOnly);
-  EXPECT_EQ(batch.column(4).type, ColumnBatch::ColType::kValue);
-
-  std::vector<Record> back;
-  batch.ToRecords(&back);
-  ASSERT_EQ(back.size(), rows.size());
-  for (size_t r = 0; r < rows.size(); ++r) {
-    ASSERT_EQ(back[r].size(), rows[r].size()) << "row " << r;
-    for (size_t c = 0; c < rows[r].size(); ++c) {
-      EXPECT_EQ(rows[r][c].type(), back[r][c].type())
-          << "row " << r << " col " << c;
-      EXPECT_EQ(Value::Compare(rows[r][c], back[r][c]), 0)
-          << "row " << r << " col " << c;
-    }
-  }
-  // Interned cells round-trip to the identical pool reference, not a copy.
-  ASSERT_TRUE(back[1][2].is_interned());
-  EXPECT_EQ(back[1][2].interned_ref().data, rows[1][2].interned_ref().data);
-}
-
-TEST(ColumnBatchTest, ColumnarFilterEngagesOnSupportedShapes) {
-  std::vector<Record> rows;
-  std::vector<std::string> words = {"ant", "bee", "cat"};
-  for (int64_t i = 0; i < 500; ++i) {
-    rows.push_back({Value::Int(i),
-                    i % 7 == 0 ? Value::Null() : Value::Int(i % 5),
-                    Value::Str(words[static_cast<size_t>(i) % words.size()]),
-                    Value::Real(0.25 * static_cast<double>(i % 11))});
-  }
-  auto rel = std::make_shared<VectorRelation>(
-      std::vector<std::string>{"id", "g", "s", "d"}, std::move(rows));
-
-  MetaQueryOptions options;
-  options.num_threads = 2;
-  options.batch_rows = 64;
-  MetaQuerySession session(options);
-  session.Register("T", rel);
-
-  // Conjunction of comparisons + IS NOT NULL: every batch runs columnar.
-  auto fast = session.Query(
-      "SELECT * FROM T WHERE g = 2 AND id >= 100 AND s <> 'bee' "
-      "AND g IS NOT NULL AND d <= 2");
-  ASSERT_TRUE(fast.ok()) << fast.status().ToString();
-  EXPECT_GT(session.last_batch_stats().columnar_batches, 0u);
-  EXPECT_EQ(session.last_batch_stats().row_batches, 0u);
-
-  // LIKE is not columnar-executable: every batch takes the row path.
-  auto slow = session.Query("SELECT * FROM T WHERE s LIKE 'a%'");
-  ASSERT_TRUE(slow.ok()) << slow.status().ToString();
-  EXPECT_EQ(session.last_batch_stats().columnar_batches, 0u);
-  EXPECT_GT(session.last_batch_stats().row_batches, 0u);
-
-  // Same query with the toggle off: identical rows, no columnar batches.
-  auto on = session.Query("SELECT * FROM T WHERE g = 2 AND id >= 100");
-  ASSERT_TRUE(on.ok());
-  MetaQueryOptions off_options = options;
-  off_options.columnar_filter = false;
-  session.set_options(off_options);
-  auto off = session.Query("SELECT * FROM T WHERE g = 2 AND id >= 100");
-  ASSERT_TRUE(off.ok());
-  EXPECT_EQ(session.last_batch_stats().columnar_batches, 0u);
-  ASSERT_EQ(on->rows.size(), off->rows.size());
-  for (size_t r = 0; r < on->rows.size(); ++r) {
-    EXPECT_EQ(CompareRecords(on->rows[r], off->rows[r]), 0) << "row " << r;
-  }
 }
 
 }  // namespace
