@@ -2,49 +2,29 @@
 
 #include <unistd.h>
 
-#include <cerrno>
-#include <cstring>
 #include <filesystem>
 #include <system_error>
 #include <utility>
 
-#include "common/bytes.h"
-#include "common/checksum.h"
 #include "common/strings.h"
 
 namespace dbfa {
-namespace {
-
-// Rejects absurd header sizes before allocating: no writer produces blocks
-// larger than this, so anything bigger is a corrupt or truncated header.
-constexpr uint32_t kMaxBlockPayload = 64u * 1024 * 1024;
-
-std::string ErrnoMessage(const char* op, const std::string& path) {
-  return StrFormat("%s %s: %s", op, path.c_str(), std::strerror(errno));
-}
-
-}  // namespace
 
 // ---- SpillFile ----------------------------------------------------------
 
 SpillFile::SpillFile(SpillFile&& other) noexcept
     : manager_(other.manager_),
-      path_(std::move(other.path_)),
-      f_(other.f_),
-      blocks_(other.blocks_) {
-  other.f_ = nullptr;
-  other.path_.clear();
-}
+      path_(std::exchange(other.path_, {})),
+      file_(std::move(other.file_)),
+      blocks_(other.blocks_) {}
 
 SpillFile& SpillFile::operator=(SpillFile&& other) noexcept {
   if (this != &other) {
     Close();
     manager_ = other.manager_;
-    path_ = std::move(other.path_);
-    f_ = other.f_;
+    path_ = std::exchange(other.path_, {});
+    file_ = std::move(other.file_);
     blocks_ = other.blocks_;
-    other.f_ = nullptr;
-    other.path_.clear();
   }
   return *this;
 }
@@ -52,10 +32,7 @@ SpillFile& SpillFile::operator=(SpillFile&& other) noexcept {
 SpillFile::~SpillFile() { Close(); }
 
 void SpillFile::Close() {
-  if (f_ != nullptr) {
-    std::fclose(f_);
-    f_ = nullptr;
-  }
+  file_ = BlockFile();
   if (!path_.empty()) {
     std::error_code ec;
     std::filesystem::remove(path_, ec);  // best effort; dir removal backstops
@@ -64,22 +41,10 @@ void SpillFile::Close() {
 }
 
 Status SpillFile::AppendBlock(std::string_view payload) {
-  if (f_ == nullptr) {
+  if (path_.empty()) {
     return Status::Internal("spill file is closed");
   }
-  uint8_t header[8];
-  WriteU32(header, static_cast<uint32_t>(payload.size()), /*big_endian=*/false);
-  WriteU32(header + 4,
-           Crc32(AsByteView(payload)),
-           /*big_endian=*/false);
-  if (std::fwrite(header, 1, sizeof(header), f_) != sizeof(header) ||
-      (!payload.empty() &&
-       std::fwrite(payload.data(), 1, payload.size(), f_) != payload.size())) {
-    return Status::IoError(ErrnoMessage("write", path_));
-  }
-  if (std::fflush(f_) != 0) {
-    return Status::IoError(ErrnoMessage("flush", path_));
-  }
+  DBFA_RETURN_IF_ERROR(file_.Append(payload).status());
   ++blocks_;
   manager_->blocks_written_.fetch_add(1, std::memory_order_relaxed);
   manager_->bytes_written_.fetch_add(payload.size(),
@@ -91,60 +56,18 @@ Result<SpillFile::Reader> SpillFile::OpenReader() const {
   if (path_.empty()) {
     return Status::Internal("spill file is closed");
   }
-  std::FILE* f = std::fopen(path_.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::IoError(ErrnoMessage("open", path_));
-  }
-  return Reader(manager_, f);
-}
-
-SpillFile::Reader::Reader(Reader&& other) noexcept
-    : manager_(other.manager_), f_(other.f_) {
-  other.f_ = nullptr;
-}
-
-SpillFile::Reader& SpillFile::Reader::operator=(Reader&& other) noexcept {
-  if (this != &other) {
-    if (f_ != nullptr) std::fclose(f_);
-    manager_ = other.manager_;
-    f_ = other.f_;
-    other.f_ = nullptr;
-  }
-  return *this;
-}
-
-SpillFile::Reader::~Reader() {
-  if (f_ != nullptr) std::fclose(f_);
+  DBFA_ASSIGN_OR_RETURN(BlockReader blocks, BlockReader::Open(path_));
+  return Reader(manager_, std::move(blocks));
 }
 
 Result<bool> SpillFile::Reader::NextBlock(std::string* payload) {
-  uint8_t header[8];
-  size_t n = std::fread(header, 1, sizeof(header), f_);
-  if (n == 0 && std::feof(f_)) return false;
-  if (n != sizeof(header)) {
-    return Status::Corruption("spill block: truncated header");
+  DBFA_ASSIGN_OR_RETURN(bool more, blocks_.Next(payload));
+  if (more) {
+    manager_->blocks_read_.fetch_add(1, std::memory_order_relaxed);
+    manager_->bytes_read_.fetch_add(payload->size(),
+                                    std::memory_order_relaxed);
   }
-  uint32_t size = ReadU32(header, /*big_endian=*/false);
-  uint32_t expected_crc = ReadU32(header + 4, /*big_endian=*/false);
-  if (size > kMaxBlockPayload) {
-    return Status::Corruption(
-        StrFormat("spill block: implausible payload size %u", size));
-  }
-  payload->resize(size);
-  if (size != 0 && std::fread(payload->data(), 1, size, f_) != size) {
-    return Status::Corruption("spill block: truncated payload");
-  }
-  uint32_t actual_crc =
-      Crc32(AsByteView(*payload));
-  if (actual_crc != expected_crc) {
-    return Status::Corruption(
-        StrFormat("spill block: checksum mismatch (stored %08x, computed "
-                  "%08x)",
-                  expected_crc, actual_crc));
-  }
-  manager_->blocks_read_.fetch_add(1, std::memory_order_relaxed);
-  manager_->bytes_read_.fetch_add(size, std::memory_order_relaxed);
-  return true;
+  return more;
 }
 
 // ---- SpillManager -------------------------------------------------------
@@ -225,12 +148,9 @@ Result<SpillFile> SpillManager::CreateFile() {
                       static_cast<unsigned long long>(next_id_++)))
                .string();
   }
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IoError(ErrnoMessage("open", path));
-  }
+  DBFA_ASSIGN_OR_RETURN(BlockFile file, BlockFile::Open(path));
   files_created_.fetch_add(1, std::memory_order_relaxed);
-  return SpillFile(this, std::move(path), f);
+  return SpillFile(this, std::move(path), std::move(file));
 }
 
 SpillStats SpillManager::stats() const {

@@ -8,12 +8,9 @@
 // temp data survives any exit path — success, error return, or stack
 // unwinding (the RAII guard the out-of-core executor relies on).
 //
-// Block format (all integers little-endian):
-//   u32 payload_size
-//   u32 crc32(payload)   -- CRC-32, IEEE 802.3 polynomial (common/checksum.h)
-//   payload bytes
-// A torn or bit-flipped block fails the size sanity check or the CRC and
-// surfaces as Status::Corruption instead of silently corrupting results.
+// Spill files are block files (common/file_io.h, docs/FORMAT.md "Block
+// files"): a torn or bit-flipped block surfaces as Status::Corruption
+// instead of silently corrupting results.
 //
 // Concurrency contract: CreateFile() and stats() may be called from any
 // thread; each SpillFile is single-writer (one partition, one thread), and
@@ -23,10 +20,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <string_view>
+#include <utility>
 
+#include "common/file_io.h"
 #include "common/mutex.h"
 #include "common/status.h"
 
@@ -67,36 +65,31 @@ class SpillFile {
   /// readers; must not outlive the SpillFile.
   class Reader {
    public:
-    Reader(Reader&& other) noexcept;
-    Reader& operator=(Reader&& other) noexcept;
-    Reader(const Reader&) = delete;
-    Reader& operator=(const Reader&) = delete;
-    ~Reader();
-
     /// Reads the next block into *payload. Returns false at end of file;
     /// Status::Corruption when a header or checksum does not verify.
     Result<bool> NextBlock(std::string* payload);
 
    private:
     friend class SpillFile;
-    Reader(SpillManager* manager, std::FILE* f) : manager_(manager), f_(f) {}
+    Reader(SpillManager* manager, BlockReader blocks)
+        : manager_(manager), blocks_(std::move(blocks)) {}
 
     SpillManager* manager_;
-    std::FILE* f_;
+    BlockReader blocks_;
   };
 
   Result<Reader> OpenReader() const;
 
  private:
   friend class SpillManager;
-  SpillFile(SpillManager* manager, std::string path, std::FILE* f)
-      : manager_(manager), path_(std::move(path)), f_(f) {}
+  SpillFile(SpillManager* manager, std::string path, BlockFile file)
+      : manager_(manager), path_(std::move(path)), file_(std::move(file)) {}
 
   void Close();
 
   SpillManager* manager_;
   std::string path_;
-  std::FILE* f_ = nullptr;  // write handle, append mode
+  BlockFile file_;
   size_t blocks_ = 0;
 };
 

@@ -1,10 +1,10 @@
 #include "core/config_io.h"
 
-#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <set>
 
+#include "common/file_io.h"
 #include "common/strings.h"
 
 namespace dbfa {
@@ -337,23 +337,11 @@ Result<CarverConfig> ConfigFromText(const std::string& text) {
 #endif
 
 Status SaveConfig(const std::string& path, const CarverConfig& config) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return Status::IoError("cannot open for write: " + path);
-  std::string text = ConfigToText(config);
-  size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  if (written != text.size()) return Status::IoError("short write: " + path);
-  return Status::Ok();
+  return WriteFile(path, ConfigToText(config));
 }
 
 Result<CarverConfig> LoadConfig(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return Status::IoError("cannot open for read: " + path);
-  std::string text;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  std::fclose(f);
+  DBFA_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
   return ConfigFromText(text);
 }
 

@@ -1,8 +1,8 @@
 #include "engine/audit_log.h"
 
-#include <cstdio>
 #include <cstdlib>
 
+#include "common/file_io.h"
 #include "common/strings.h"
 
 namespace dbfa {
@@ -59,25 +59,11 @@ Result<AuditLog> AuditLog::FromText(const std::string& text) {
 }
 
 Status AuditLog::SaveTo(const std::string& path) const {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return Status::IoError("cannot open for write: " + path);
-  std::string text = ToText();
-  size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  if (written != text.size()) return Status::IoError("short write: " + path);
-  return Status::Ok();
+  return WriteFile(path, ToText());
 }
 
 Result<AuditLog> AuditLog::LoadFrom(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return Status::IoError("cannot open for read: " + path);
-  std::string text;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    text.append(buf, n);
-  }
-  std::fclose(f);
+  DBFA_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
   return FromText(text);
 }
 

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <map>
 
+#include "common/file_io.h"
 #include "common/strings.h"
 #include "core/carver.h"
 #include "core/parallel_carver.h"
@@ -83,30 +84,11 @@ Status SaveCorpusEntry(const std::string& dir, const CorpusEntry& entry,
   }
   fs::path base = fs::path(dir) / entry.name;
   DBFA_RETURN_IF_ERROR(SaveImage(base.string() + ".img", image));
-  std::string sidecar = base.string() + ".expect";
-  FILE* f = std::fopen(sidecar.c_str(), "w");
-  if (f == nullptr) {
-    return Status::IoError("cannot write sidecar: " + sidecar);
-  }
-  std::string text = SidecarText(entry);
-  size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  if (written != text.size()) {
-    return Status::IoError("short sidecar write: " + sidecar);
-  }
-  return Status::Ok();
+  return WriteFile(base.string() + ".expect", SidecarText(entry));
 }
 
 Result<CorpusEntry> LoadCorpusEntry(const std::string& sidecar_path) {
-  FILE* f = std::fopen(sidecar_path.c_str(), "r");
-  if (f == nullptr) {
-    return Status::IoError("cannot read sidecar: " + sidecar_path);
-  }
-  std::string text;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  std::fclose(f);
+  DBFA_ASSIGN_OR_RETURN(std::string text, ReadFile(sidecar_path));
 
   std::map<std::string, std::string> kv;
   for (const std::string& raw_line : Split(text, '\n')) {

@@ -49,14 +49,10 @@ Result<std::unique_ptr<AuditDaemon>> AuditDaemon::Start(ServeOptions options) {
   // Open outside feed_mu_: no lock may wrap blocking file I/O it does not
   // have to (docs/lock_order.md). No worker exists yet, so publishing the
   // handle under the lock afterwards is race-free.
-  std::FILE* feed = std::fopen(feed_path.c_str(), "ab");
-  if (feed == nullptr) {
-    return Status::IoError(
-        StrFormat("dbfa_serve: cannot open feed %s", feed_path.c_str()));
-  }
+  DBFA_ASSIGN_OR_RETURN(AppendOnlyFile feed, AppendOnlyFile::Open(feed_path));
   {
     MutexLock lock(&daemon->feed_mu_);
-    daemon->feed_ = feed;
+    daemon->feed_ = std::move(feed);
   }
   for (size_t s = 0; s < daemon->options_.shards; ++s) {
     daemon->queues_.push_back(std::make_unique<BoundedQueue<CaptureTask>>(
@@ -250,13 +246,15 @@ Status AuditDaemon::ProcessCapture(Instance* inst, CaptureTask* task) {
                                       task->log));
     mods = std::move(inc.modifications);
   }
+  // Advance the incremental base only once every finding is on the feed:
+  // after a failed emit the next capture re-matches this delta too.
+  DBFA_RETURN_IF_ERROR(EmitFindings(inst, task->instance, ingest.snapshot_id,
+                                    mods, task->submitted));
   inst->last_ingested = ingest.snapshot_id;
-  EmitFindings(inst, task->instance, ingest.snapshot_id, mods,
-               task->submitted);
   return Status::Ok();
 }
 
-void AuditDaemon::EmitFindings(
+Status AuditDaemon::EmitFindings(
     Instance* inst, size_t instance_id, uint64_t snapshot_id,
     const std::vector<UnattributedModification>& mods,
     Clock::time_point submitted) {
@@ -274,24 +272,28 @@ void AuditDaemon::EmitFindings(
     finding.snapshot_id = snapshot_id;
     finding.mod = mod;
     double latency = SecondsBetween(submitted, Clock::now());
+    std::string line = finding.ToString();
+    line += '\n';
+    Status appended;
     {
       // dbfa-lockcheck: allow(blocking-under-lock): feed_mu_ IS the feed's
       // serialization point — the append and the in-memory mirror must be
       // atomic together so Findings() order matches feed order. Leaf rank;
       // nothing is ever acquired under it.
       MutexLock lock(&feed_mu_);
-      if (feed_ != nullptr) {
-        std::string line = finding.ToString();
-        line += '\n';
-        std::fwrite(line.data(), 1, line.size(), feed_);
-        std::fflush(feed_);
-      }
-      findings_.push_back(std::move(finding));
+      appended = feed_.Append(line);
+      if (appended.ok()) findings_.push_back(std::move(finding));
+    }
+    if (!appended.ok()) {
+      MutexLock lock(&dedup_mu_);
+      inst->reported.erase(mod.Key());
+      return appended;
     }
     MutexLock lock(&stats_mu_);
     ++instance_stats_[instance_id].findings;
     finding_latencies_.push_back(latency);
   }
+  return Status::Ok();
 }
 
 Status AuditDaemon::Shutdown() {
@@ -302,15 +304,14 @@ Status AuditDaemon::Shutdown() {
   }
   for (auto& queue : queues_) queue->Close();
   pool_.reset();  // joins the shard loops after they drain their queues
-  // Detach the handle under the lock, close it outside: fclose flushes and
-  // may block, and the workers that could race the handle are joined.
-  std::FILE* feed = nullptr;
+  // Detach the handle under the lock, close it outside: closing may block,
+  // and the workers that could race the handle are joined.
+  AppendOnlyFile feed;
   {
     MutexLock lock(&feed_mu_);
-    feed = feed_;
-    feed_ = nullptr;
+    feed = std::move(feed_);
   }
-  if (feed != nullptr) std::fclose(feed);
+  feed = AppendOnlyFile();  // closes the detached handle
   ServeStats final_stats = Stats();
   final_stats.stopped = true;
   Status invariants = final_stats.CheckInvariants();
@@ -318,19 +319,7 @@ Status AuditDaemon::Shutdown() {
       invariants.ok() ? "ok" : invariants.ToString();
   std::string stats_path =
       (std::filesystem::path(options_.root) / kStatsFile).string();
-  Status write_status = Status::Ok();
-  std::FILE* f = std::fopen(stats_path.c_str(), "wb");
-  if (f == nullptr) {
-    write_status = Status::IoError(
-        StrFormat("dbfa_serve: cannot write %s", stats_path.c_str()));
-  } else {
-    std::string json = final_stats.ToJson();
-    if (std::fwrite(json.data(), 1, json.size(), f) != json.size()) {
-      write_status = Status::IoError(
-          StrFormat("dbfa_serve: short write to %s", stats_path.c_str()));
-    }
-    std::fclose(f);
-  }
+  Status write_status = WriteFile(stats_path, final_stats.ToJson());
   Status result = invariants.ok() ? write_status : invariants;
   MutexLock lock(&state_mu_);
   stopped_ = true;

@@ -22,7 +22,6 @@
 #define DBFA_SERVE_AUDIT_DAEMON_H_
 
 #include <chrono>
-#include <cstdio>
 #include <deque>
 #include <memory>
 #include <set>
@@ -31,6 +30,7 @@
 
 #include "common/bounded_queue.h"
 #include "common/bytes.h"
+#include "common/file_io.h"
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
@@ -154,9 +154,13 @@ class AuditDaemon {
   /// Ingest + detect + emit for one capture. Returns the first error; the
   /// shard loop records it and keeps serving.
   Status ProcessCapture(Instance* inst, CaptureTask* task);
-  void EmitFindings(Instance* inst, size_t instance_id, uint64_t snapshot_id,
-                    const std::vector<UnattributedModification>& mods,
-                    Clock::time_point submitted);
+  /// Appends each not-yet-reported finding to the feed. A failed append
+  /// returns the I/O error and leaves that finding unreported, so a later
+  /// capture reports it again.
+  Status EmitFindings(Instance* inst, size_t instance_id,
+                      uint64_t snapshot_id,
+                      const std::vector<UnattributedModification>& mods,
+                      Clock::time_point submitted);
   void FinishTask();
 
   ServeOptions options_;
@@ -194,7 +198,7 @@ class AuditDaemon {
   std::vector<double> finding_latencies_ DBFA_GUARDED_BY(stats_mu_);
 
   mutable Mutex feed_mu_{"audit_daemon/feed", lock_rank::kAuditFeed};
-  std::FILE* feed_ DBFA_GUARDED_BY(feed_mu_) = nullptr;
+  AppendOnlyFile feed_ DBFA_GUARDED_BY(feed_mu_);
   std::vector<ServeFinding> findings_ DBFA_GUARDED_BY(feed_mu_);
 };
 

@@ -9,37 +9,17 @@ namespace dbfa {
 
 Result<std::unique_ptr<ArtifactCache>> ArtifactCache::Open(
     const std::string& path) {
-  std::unique_ptr<ArtifactCache> cache(new ArtifactCache(path));
-  cache->file_ = std::fopen(path.c_str(), "ab+");
-  if (cache->file_ == nullptr) {
-    return Status::IoError(
-        StrFormat("artifact cache: cannot open %s", path.c_str()));
-  }
-  DBFA_RETURN_IF_ERROR(cache->LoadIndex());
+  std::unique_ptr<ArtifactCache> cache(new ArtifactCache());
+  DBFA_ASSIGN_OR_RETURN(cache->file_, BlockFile::Open(path));
+  ArtifactCache* self = cache.get();
+  DBFA_RETURN_IF_ERROR(ScanBlocks(
+      path, [self](uint64_t offset, const std::string& payload) {
+        ArtifactKey key;
+        DBFA_RETURN_IF_ERROR(DecodeArtifactKey(payload, &key));
+        self->index_.emplace(key, Slot{offset, nullptr});
+        return Status::Ok();
+      }));
   return cache;
-}
-
-ArtifactCache::~ArtifactCache() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-Status ArtifactCache::LoadIndex() {
-  if (std::fseek(file_, 0, SEEK_SET) != 0) {
-    return Status::IoError("artifact cache: seek failed");
-  }
-  std::string payload;
-  for (;;) {
-    long offset = std::ftell(file_);
-    if (offset < 0) return Status::IoError("artifact cache: ftell failed");
-    DBFA_ASSIGN_OR_RETURN(bool more, ReadBlock(file_, &payload));
-    if (!more) break;
-    ArtifactKey key;
-    DBFA_RETURN_IF_ERROR(DecodeArtifactKey(payload, &key));
-    Slot slot;
-    slot.file_offset = offset;
-    index_.emplace(key, std::move(slot));
-  }
-  return Status::Ok();
 }
 
 Result<std::shared_ptr<const PageArtifacts>> ArtifactCache::Get(
@@ -49,14 +29,8 @@ Result<std::shared_ptr<const PageArtifacts>> ArtifactCache::Get(
     return std::shared_ptr<const PageArtifacts>();
   }
   if (it->second.decoded != nullptr) return it->second.decoded;
-  if (std::fseek(file_, it->second.file_offset, SEEK_SET) != 0) {
-    return Status::IoError("artifact cache: seek failed");
-  }
   std::string payload;
-  DBFA_ASSIGN_OR_RETURN(bool more, ReadBlock(file_, &payload));
-  if (!more) {
-    return Status::Corruption("artifact cache: entry block vanished");
-  }
+  DBFA_RETURN_IF_ERROR(file_.ReadAt(it->second.file_offset, &payload));
   ArtifactKey stored_key;
   auto artifacts = std::make_shared<PageArtifacts>();
   DBFA_RETURN_IF_ERROR(
@@ -72,20 +46,10 @@ Status ArtifactCache::Put(const ArtifactKey& key,
                           const PageArtifacts& artifacts) {
   auto it = index_.find(key);
   if (it != index_.end()) return Status::Ok();
-  // "ab+" writes always land at EOF, but ftell reports the *read* cursor —
-  // seek explicitly so the recorded offset is where the block really goes.
-  if (std::fseek(file_, 0, SEEK_END) != 0) {
-    return Status::IoError("artifact cache: seek failed");
-  }
-  long offset = std::ftell(file_);
-  if (offset < 0) return Status::IoError("artifact cache: ftell failed");
   std::string payload;
   EncodeArtifactEntry(key, artifacts, &payload);
-  DBFA_RETURN_IF_ERROR(AppendBlock(file_, payload));
-  Slot slot;
-  slot.file_offset = offset;
-  slot.decoded = std::make_shared<PageArtifacts>(artifacts);
-  index_.emplace(key, std::move(slot));
+  DBFA_ASSIGN_OR_RETURN(uint64_t offset, file_.Append(payload));
+  index_.emplace(key, Slot{offset, std::make_shared<PageArtifacts>(artifacts)});
   return Status::Ok();
 }
 

@@ -17,11 +17,11 @@
 #ifndef DBFA_SNAPSHOT_ARTIFACT_CACHE_H_
 #define DBFA_SNAPSHOT_ARTIFACT_CACHE_H_
 
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <unordered_map>
 
+#include "common/file_io.h"
 #include "common/status.h"
 #include "snapshot/snapshot_codec.h"
 
@@ -32,7 +32,6 @@ class ArtifactCache {
   /// Opens (or creates) the cache file and scans its block index.
   static Result<std::unique_ptr<ArtifactCache>> Open(const std::string& path);
 
-  ~ArtifactCache();
   ArtifactCache(const ArtifactCache&) = delete;
   ArtifactCache& operator=(const ArtifactCache&) = delete;
 
@@ -53,17 +52,14 @@ class ArtifactCache {
   Status Put(const ArtifactKey& key, const PageArtifacts& artifacts);
 
  private:
-  explicit ArtifactCache(std::string path) : path_(std::move(path)) {}
-
-  Status LoadIndex();
+  ArtifactCache() = default;
 
   struct Slot {
-    long file_offset = 0;
+    uint64_t file_offset = 0;
     std::shared_ptr<const PageArtifacts> decoded;  // lazy
   };
 
-  std::string path_;
-  std::FILE* file_ = nullptr;
+  BlockFile file_;
   std::unordered_map<ArtifactKey, Slot, ArtifactKeyHasher> index_;
 };
 

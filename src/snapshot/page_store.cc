@@ -11,41 +11,31 @@ Result<std::unique_ptr<PageStore>> PageStore::Open(const std::string& path,
   if (page_size == 0) {
     return Status::InvalidArgument("page store: page size must be nonzero");
   }
-  std::unique_ptr<PageStore> store(new PageStore(path, page_size));
-  // "ab+": reads seek anywhere, writes always land at the end — exactly the
-  // append-only discipline the block format assumes.
-  store->file_ = std::fopen(path.c_str(), "ab+");
-  if (store->file_ == nullptr) {
-    return Status::IoError(
-        StrFormat("page store: cannot open %s", path.c_str()));
-  }
-  DBFA_RETURN_IF_ERROR(store->LoadIndex());
+  std::unique_ptr<PageStore> store(new PageStore(page_size));
+  DBFA_ASSIGN_OR_RETURN(store->file_, BlockFile::Open(path));
+  PageStore* self = store.get();
+  DBFA_RETURN_IF_ERROR(ScanBlocks(
+      path, [self](uint64_t offset, const std::string& payload) {
+        PageStoreEntry entry;
+        size_t page_bytes = 0;
+        DBFA_RETURN_IF_ERROR(
+            DecodePageEntry(payload, self->page_size_, &entry, &page_bytes));
+        self->Index(entry, offset);
+        return Status::Ok();
+      }));
   return store;
 }
 
-PageStore::~PageStore() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-Status PageStore::LoadIndex() {
-  if (std::fseek(file_, 0, SEEK_SET) != 0) {
-    return Status::IoError("page store: seek failed");
-  }
-  std::string payload;
-  for (;;) {
-    long offset = std::ftell(file_);
-    if (offset < 0) return Status::IoError("page store: ftell failed");
-    DBFA_ASSIGN_OR_RETURN(bool more, ReadBlock(file_, &payload));
-    if (!more) break;
-    auto stored = std::make_unique<Stored>();
-    size_t page_bytes = 0;
-    DBFA_RETURN_IF_ERROR(
-        DecodePageEntry(payload, page_size_, &stored->entry, &page_bytes));
-    stored->file_offset = offset;
-    buckets_[stored->entry.crc].push_back(stored.get());
-    entries_.push_back(std::move(stored));
-  }
-  return Status::Ok();
+const PageStore::Stored* PageStore::Index(const PageStoreEntry& entry,
+                                          uint64_t offset) {
+  auto stored = std::make_unique<Stored>();
+  stored->entry = entry;
+  stored->entry.meta.image_offset = 0;
+  stored->file_offset = offset;
+  const Stored* raw = stored.get();
+  buckets_[entry.crc].push_back(raw);
+  entries_.push_back(std::move(stored));
+  return raw;
 }
 
 const PageStore::Stored* PageStore::Find(uint32_t crc,
@@ -66,33 +56,15 @@ Result<const PageStore::Stored*> PageStore::Put(const PageStoreEntry& entry,
                   page.size(), page_size_));
   }
   if (const Stored* existing = Find(entry.crc, entry.hash)) return existing;
-  // "ab+" writes always land at EOF, but ftell reports the *read* cursor —
-  // seek explicitly so the recorded offset is where the block really goes.
-  if (std::fseek(file_, 0, SEEK_END) != 0) {
-    return Status::IoError("page store: seek failed");
-  }
-  long offset = std::ftell(file_);
-  if (offset < 0) return Status::IoError("page store: ftell failed");
   std::string payload;
   EncodePageEntry(entry, page, &payload);
-  DBFA_RETURN_IF_ERROR(AppendBlock(file_, payload));
-  auto stored = std::make_unique<Stored>();
-  stored->entry = entry;
-  stored->entry.meta.image_offset = 0;
-  stored->file_offset = offset;
-  const Stored* raw = stored.get();
-  buckets_[entry.crc].push_back(raw);
-  entries_.push_back(std::move(stored));
-  return raw;
+  DBFA_ASSIGN_OR_RETURN(uint64_t offset, file_.Append(payload));
+  return Index(entry, offset);
 }
 
 Status PageStore::ReadPage(const Stored& stored, Bytes* out) const {
-  if (std::fseek(file_, stored.file_offset, SEEK_SET) != 0) {
-    return Status::IoError("page store: seek failed");
-  }
   std::string payload;
-  DBFA_ASSIGN_OR_RETURN(bool more, ReadBlock(file_, &payload));
-  if (!more) return Status::Corruption("page store: entry block vanished");
+  DBFA_RETURN_IF_ERROR(file_.ReadAt(stored.file_offset, &payload));
   PageStoreEntry entry;
   size_t page_bytes = 0;
   DBFA_RETURN_IF_ERROR(

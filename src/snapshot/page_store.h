@@ -13,13 +13,13 @@
 #ifndef DBFA_SNAPSHOT_PAGE_STORE_H_
 #define DBFA_SNAPSHOT_PAGE_STORE_H_
 
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/file_io.h"
 #include "common/status.h"
 #include "snapshot/snapshot_codec.h"
 
@@ -31,7 +31,7 @@ class PageStore {
   /// and where its bytes live in pages.bin.
   struct Stored {
     PageStoreEntry entry;
-    long file_offset = 0;  // block start within pages.bin
+    uint64_t file_offset = 0;  // block start within pages.bin
   };
 
   /// Opens (or creates) the store file and rebuilds the index by scanning
@@ -41,7 +41,6 @@ class PageStore {
   static Result<std::unique_ptr<PageStore>> Open(const std::string& path,
                                                  size_t page_size);
 
-  ~PageStore();
   PageStore(const PageStore&) = delete;
   PageStore& operator=(const PageStore&) = delete;
 
@@ -66,14 +65,13 @@ class PageStore {
   Status ReadPage(const Stored& stored, Bytes* out) const;
 
  private:
-  PageStore(std::string path, size_t page_size)
-      : path_(std::move(path)), page_size_(page_size) {}
+  explicit PageStore(size_t page_size) : page_size_(page_size) {}
 
-  Status LoadIndex();
+  /// Adds an entry stored at `offset` to the in-memory index.
+  const Stored* Index(const PageStoreEntry& entry, uint64_t offset);
 
-  std::string path_;
   size_t page_size_;
-  std::FILE* file_ = nullptr;
+  BlockFile file_;
 
   // Owned entries in append order; buckets_ maps CRC-32 to the entries
   // sharing it (almost always exactly one).

@@ -10,10 +10,6 @@
 namespace dbfa {
 namespace {
 
-// Larger than any plausible entry: a page plus its header, or one page's
-// serialized artifacts, stays far below this even at 64 KB pages.
-constexpr uint32_t kMaxBlockPayload = 64u << 20;
-
 inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
 /// splitmix64 finalizer: full-avalanche 64-bit mix.
@@ -194,49 +190,6 @@ PageHash HashBytes(ByteView data) {
     out.bytes[8 + i] = static_cast<uint8_t>(f2 >> (8 * i));
   }
   return out;
-}
-
-Status AppendBlock(std::FILE* f, std::string_view payload) {
-  uint8_t header[8];
-  WriteU32(header, static_cast<uint32_t>(payload.size()),
-           /*big_endian=*/false);
-  WriteU32(header + 4, Crc32(AsByteView(payload)), /*big_endian=*/false);
-  if (std::fwrite(header, 1, sizeof(header), f) != sizeof(header) ||
-      (!payload.empty() &&
-       std::fwrite(payload.data(), 1, payload.size(), f) != payload.size())) {
-    return Status::IoError("snapshot block: write failed");
-  }
-  if (std::fflush(f) != 0) {
-    return Status::IoError("snapshot block: flush failed");
-  }
-  return Status::Ok();
-}
-
-Result<bool> ReadBlock(std::FILE* f, std::string* payload) {
-  uint8_t header[8];
-  size_t n = std::fread(header, 1, sizeof(header), f);
-  if (n == 0 && std::feof(f)) return false;
-  if (n != sizeof(header)) {
-    return Status::Corruption("snapshot block: truncated header");
-  }
-  uint32_t size = ReadU32(header, /*big_endian=*/false);
-  uint32_t expected_crc = ReadU32(header + 4, /*big_endian=*/false);
-  if (size > kMaxBlockPayload) {
-    return Status::Corruption(
-        StrFormat("snapshot block: implausible payload size %u", size));
-  }
-  payload->resize(size);
-  if (size != 0 && std::fread(payload->data(), 1, size, f) != size) {
-    return Status::Corruption("snapshot block: truncated payload");
-  }
-  uint32_t actual_crc = Crc32(AsByteView(*payload));
-  if (actual_crc != expected_crc) {
-    return Status::Corruption(
-        StrFormat("snapshot block: checksum mismatch (stored %08x, computed "
-                  "%08x)",
-                  expected_crc, actual_crc));
-  }
-  return true;
 }
 
 void EncodePageEntry(const PageStoreEntry& entry, ByteView page,

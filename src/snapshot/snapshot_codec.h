@@ -1,28 +1,26 @@
 // Wire formats of the snapshot repository (docs/snapshot_store.md).
 //
-// Three codecs live here, and ONLY here — this is the single snapshot file
+// Two codecs live here, and ONLY here — this is the single snapshot file
 // allowed raw byte reads by dbfa_lint (tools/dbfa_lint/allowlist.txt):
 //
 //   PageHash       128-bit endian-stable content hash. The page store keys
 //                  pages by it; slice-by-8 CRC-32 (common/checksum.h) is
 //                  the fast reject in front of it, so a brand-new page
 //                  never pays the strong hash.
-//   block framing  the spill_manager on-disk block format, reused verbatim
-//                  (u32 payload_size, u32 crc32(payload), payload) — a torn
-//                  or bit-flipped block surfaces as Status::Corruption.
 //   entry payloads the page-store entry (hash + content-derived CarvedPage
 //                  metadata + page bytes) and the artifact-cache entry
 //                  (per-page carved records and index entries, serialized
 //                  through the bit-exact sql/row_codec Value codec).
 //
-// Every decode path is bounds-checked against hostile input: repository
-// files are evidence and may be handed to us tampered.
+// The entries are stored as payloads of block files (common/file_io.h),
+// whose framing detects torn and bit-flipped blocks. Every decode path is
+// bounds-checked against hostile input: repository files are evidence and
+// may be handed to us tampered.
 #ifndef DBFA_SNAPSHOT_SNAPSHOT_CODEC_H_
 #define DBFA_SNAPSHOT_SNAPSHOT_CODEC_H_
 
 #include <array>
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -62,16 +60,6 @@ PageHash HashBytes(ByteView data);
 inline PageHash HashString(std::string_view s) {
   return HashBytes(AsByteView(s));
 }
-
-// ---- Block framing (spill_manager's on-disk format) ----------------------
-
-/// Appends one checksummed block and flushes it to the OS.
-Status AppendBlock(std::FILE* f, std::string_view payload);
-
-/// Reads the next block into *payload. Returns false at a clean
-/// end-of-file; Status::Corruption when a header or checksum does not
-/// verify (torn tail, bit rot, tampering).
-Result<bool> ReadBlock(std::FILE* f, std::string* payload);
 
 // ---- Page-store entry ----------------------------------------------------
 

@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "common/checksum.h"
+#include "common/file_io.h"
 #include "common/strings.h"
 #include "core/config_io.h"
 
@@ -24,34 +25,6 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
-}
-
-Status ReadTextFile(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::IoError(StrFormat("cannot open %s", path.c_str()));
-  }
-  out->clear();
-  char buf[1 << 16];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out->append(buf, n);
-  bool bad = std::ferror(f) != 0;
-  std::fclose(f);
-  if (bad) return Status::IoError(StrFormat("read failed: %s", path.c_str()));
-  return Status::Ok();
-}
-
-Status WriteTextFile(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IoError(StrFormat("cannot create %s", path.c_str()));
-  }
-  bool ok = text.empty() ||
-            std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  ok = std::fflush(f) == 0 && ok;
-  std::fclose(f);
-  if (!ok) return Status::IoError(StrFormat("write failed: %s", path.c_str()));
-  return Status::Ok();
 }
 
 bool ParseU64(std::string_view s, uint64_t* out) {
@@ -167,9 +140,8 @@ Result<std::unique_ptr<SnapshotRepo>> SnapshotRepo::Create(
       kRepoMetaHeader, options.scan_step,
       options.parse_bad_checksum_pages ? 1 : 0,
       options.raw_scan_fallback ? 1 : 0);
-  DBFA_RETURN_IF_ERROR(WriteTextFile(meta_path, meta));
-  DBFA_RETURN_IF_ERROR(
-      WriteTextFile((root / "carver.conf").string(), ConfigToText(config)));
+  DBFA_RETURN_IF_ERROR(WriteFile(meta_path, meta));
+  DBFA_RETURN_IF_ERROR(SaveConfig((root / "carver.conf").string(), config));
 
   std::unique_ptr<SnapshotRepo> repo(new SnapshotRepo(dir, config, options));
   repo->lock_ = std::move(lock);
@@ -184,8 +156,8 @@ Result<std::unique_ptr<SnapshotRepo>> SnapshotRepo::Create(
 Result<std::unique_ptr<SnapshotRepo>> SnapshotRepo::Open(
     const std::string& dir, size_t num_threads) {
   std::filesystem::path root(dir);
-  std::string meta;
-  DBFA_RETURN_IF_ERROR(ReadTextFile((root / "repo.meta").string(), &meta));
+  DBFA_ASSIGN_OR_RETURN(std::string meta,
+                        ReadFile((root / "repo.meta").string()));
   std::vector<std::string> lines = Split(meta, '\n');
   if (lines.empty() || Trim(lines[0]) != kRepoMetaHeader) {
     return Status::Corruption("snapshot repo: unrecognized repo.meta header");
@@ -214,8 +186,8 @@ Result<std::unique_ptr<SnapshotRepo>> SnapshotRepo::Open(
     }
   }
 
-  std::string conf;
-  DBFA_RETURN_IF_ERROR(ReadTextFile((root / "carver.conf").string(), &conf));
+  DBFA_ASSIGN_OR_RETURN(std::string conf,
+                        ReadFile((root / "carver.conf").string()));
   DBFA_ASSIGN_OR_RETURN(CarverConfig config, ConfigFromText(conf));
 
   // Lock after the meta probe (so opening a non-repository directory stays
@@ -248,8 +220,7 @@ Status SnapshotRepo::LoadManifests() {
   }
 
   for (const std::string& path : paths) {
-    std::string text;
-    DBFA_RETURN_IF_ERROR(ReadTextFile(path, &text));
+    DBFA_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
     std::vector<std::string> lines = Split(text, '\n');
     if (lines.empty() || Trim(lines[0]) != kManifestHeader) {
       return Status::Corruption(
@@ -358,16 +329,9 @@ Status SnapshotRepo::WriteManifest(const Snapshot& snap) const {
   std::filesystem::path dir = std::filesystem::path(dir_) / "snapshots";
   std::string name = StrFormat("%llu.manifest",
                                static_cast<unsigned long long>(snap.id));
-  std::string tmp = (dir / (name + ".tmp")).string();
-  std::string final_path = (dir / name).string();
-  DBFA_RETURN_IF_ERROR(WriteTextFile(tmp, text));
   // The rename is the snapshot's commit point: store blocks appended by a
   // crashed ingest are unreferenced, never dangling.
-  if (std::rename(tmp.c_str(), final_path.c_str()) != 0) {
-    return Status::IoError(
-        StrFormat("snapshot repo: cannot commit %s", final_path.c_str()));
-  }
-  return Status::Ok();
+  return CommitFile((dir / name).string(), text);
 }
 
 std::string FsckIssue::ToString() const {
@@ -397,12 +361,11 @@ Result<FsckReport> SnapshotRepo::Fsck(const std::string& dir) {
   };
 
   // repo.meta: header plus "key value" option lines.
-  std::string meta;
-  Status meta_read = ReadTextFile((root / "repo.meta").string(), &meta);
-  if (!meta_read.ok()) {
-    issue("repo.meta", meta_read.ToString());
+  auto meta = ReadFile((root / "repo.meta").string());
+  if (!meta.ok()) {
+    issue("repo.meta", meta.status().ToString());
   } else {
-    std::vector<std::string> lines = Split(meta, '\n');
+    std::vector<std::string> lines = Split(*meta, '\n');
     if (lines.empty() || Trim(lines[0]) != kRepoMetaHeader) {
       issue("repo.meta", "bad header (not a dbfa snapshot repository?)");
     } else {
@@ -420,12 +383,11 @@ Result<FsckReport> SnapshotRepo::Fsck(const std::string& dir) {
 
   // carver.conf: must parse; its page size drives the page-store checks.
   size_t page_size = 0;
-  std::string conf;
-  Status conf_read = ReadTextFile((root / "carver.conf").string(), &conf);
-  if (!conf_read.ok()) {
-    issue("carver.conf", conf_read.ToString());
+  auto conf = ReadFile((root / "carver.conf").string());
+  if (!conf.ok()) {
+    issue("carver.conf", conf.status().ToString());
   } else {
-    auto config = ConfigFromText(conf);
+    auto config = ConfigFromText(*conf);
     if (!config.ok()) {
       issue("carver.conf", config.status().ToString());
     } else {
@@ -433,91 +395,74 @@ Result<FsckReport> SnapshotRepo::Fsck(const std::string& dir) {
     }
   }
 
-  // pages.bin: walk the block framing; verify each entry's stored CRC-32
-  // and content hash against the page bytes it carries (the in-memory index
-  // PageStore::Open builds is derived from exactly these entries, so a
-  // clean scan certifies index<->file consistency). A framing failure ends
-  // the walk — byte boundaries downstream of it are meaningless.
-  std::unordered_map<std::string, uint32_t> stored_pages;  // hash hex -> crc
-  std::string pages_path = (root / "pages.bin").string();
-  std::FILE* pages = std::fopen(pages_path.c_str(), "rb");
-  if (pages == nullptr) {
-    issue("pages.bin", "missing or unreadable");
-  } else {
-    std::string payload;
-    for (;;) {
-      auto next = ReadBlock(pages, &payload);
-      if (!next.ok()) {
-        issue("pages.bin",
-              StrFormat("block %zu: %s", report.pages_checked,
-                        next.status().ToString().c_str()));
-        break;
-      }
-      if (!next.value()) break;  // clean end-of-file
-      if (page_size == 0) continue;  // cannot decode without the config
-      PageStoreEntry entry;
-      size_t page_bytes = 0;
-      Status decoded = DecodePageEntry(payload, page_size, &entry,
-                                       &page_bytes);
-      if (!decoded.ok()) {
-        issue("pages.bin", StrFormat("entry %zu: %s", report.pages_checked,
-                                     decoded.ToString().c_str()));
-        continue;
-      }
-      Bytes page_copy(payload.begin() + static_cast<ptrdiff_t>(page_bytes),
-                      payload.end());
-      ByteView page(page_copy);
-      if (Crc32(page) != entry.crc) {
-        issue("pages.bin",
-              StrFormat("entry %zu (%s): stored CRC-32 does not match the "
-                        "page bytes",
-                        report.pages_checked, entry.hash.ToHex().c_str()));
-      } else if (!(HashBytes(page) == entry.hash)) {
-        issue("pages.bin",
-              StrFormat("entry %zu: content hash does not match the page "
-                        "bytes (claims %s)",
-                        report.pages_checked, entry.hash.ToHex().c_str()));
-      } else if (!stored_pages.emplace(entry.hash.ToHex(), entry.crc)
-                      .second) {
-        issue("pages.bin",
-              StrFormat("entry %zu (%s): duplicate page entry (the store "
-                        "index would collapse them)",
-                        report.pages_checked, entry.hash.ToHex().c_str()));
-      }
-      ++report.pages_checked;
+  // Walks one store's block framing, handing each payload to `check`,
+  // which reports its own issues and returns whether the entry counts as
+  // checked. A framing failure ends the walk — byte boundaries downstream
+  // of it are meaningless.
+  auto walk_blocks = [&](const char* file, size_t* checked, auto&& check) {
+    Status walked = ScanBlocks(
+        (root / file).string(), [&](uint64_t, const std::string& payload) {
+          if (check(payload)) ++*checked;
+          return Status::Ok();
+        });
+    if (!walked.ok()) {
+      issue(file,
+            StrFormat("block %zu: %s", *checked, walked.ToString().c_str()));
     }
-    std::fclose(pages);
-  }
+  };
+
+  // pages.bin: verify each entry's stored CRC-32 and content hash against
+  // the page bytes it carries (the in-memory index PageStore::Open builds
+  // is derived from exactly these entries, so a clean scan certifies
+  // index<->file consistency).
+  std::unordered_map<std::string, uint32_t> stored_pages;  // hash hex -> crc
+  walk_blocks("pages.bin", &report.pages_checked,
+              [&](const std::string& payload) {
+    if (page_size == 0) return false;  // cannot decode without the config
+    PageStoreEntry entry;
+    size_t page_bytes = 0;
+    Status decoded = DecodePageEntry(payload, page_size, &entry, &page_bytes);
+    if (!decoded.ok()) {
+      issue("pages.bin", StrFormat("entry %zu: %s", report.pages_checked,
+                                   decoded.ToString().c_str()));
+      return false;
+    }
+    Bytes page_copy(payload.begin() + static_cast<ptrdiff_t>(page_bytes),
+                    payload.end());
+    ByteView page(page_copy);
+    if (Crc32(page) != entry.crc) {
+      issue("pages.bin",
+            StrFormat("entry %zu (%s): stored CRC-32 does not match the "
+                      "page bytes",
+                      report.pages_checked, entry.hash.ToHex().c_str()));
+    } else if (!(HashBytes(page) == entry.hash)) {
+      issue("pages.bin",
+            StrFormat("entry %zu: content hash does not match the page "
+                      "bytes (claims %s)",
+                      report.pages_checked, entry.hash.ToHex().c_str()));
+    } else if (!stored_pages.emplace(entry.hash.ToHex(), entry.crc).second) {
+      issue("pages.bin",
+            StrFormat("entry %zu (%s): duplicate page entry (the store "
+                      "index would collapse them)",
+                      report.pages_checked, entry.hash.ToHex().c_str()));
+    }
+    return true;
+  });
 
   // artifacts.bin: every block must frame and decode as an artifact entry.
-  std::string artifacts_path = (root / "artifacts.bin").string();
-  std::FILE* artifacts = std::fopen(artifacts_path.c_str(), "rb");
-  if (artifacts == nullptr) {
-    issue("artifacts.bin", "missing or unreadable");
-  } else {
-    std::string payload;
-    for (;;) {
-      auto next = ReadBlock(artifacts, &payload);
-      if (!next.ok()) {
-        issue("artifacts.bin",
-              StrFormat("block %zu: %s", report.artifacts_checked,
-                        next.status().ToString().c_str()));
-        break;
-      }
-      if (!next.value()) break;
-      ArtifactKey key;
-      PageArtifacts page_artifacts;
-      Status decoded = DecodeArtifactEntry(payload, &key, &page_artifacts);
-      if (!decoded.ok()) {
-        issue("artifacts.bin",
-              StrFormat("entry %zu: %s", report.artifacts_checked,
-                        decoded.ToString().c_str()));
-        continue;
-      }
-      ++report.artifacts_checked;
+  walk_blocks("artifacts.bin", &report.artifacts_checked,
+              [&](const std::string& payload) {
+    ArtifactKey key;
+    PageArtifacts page_artifacts;
+    Status decoded = DecodeArtifactEntry(payload, &key, &page_artifacts);
+    if (!decoded.ok()) {
+      issue("artifacts.bin",
+            StrFormat("entry %zu: %s", report.artifacts_checked,
+                      decoded.ToString().c_str()));
+      return false;
     }
-    std::fclose(artifacts);
-  }
+    return true;
+  });
 
   // Manifests: structural re-parse plus reachability — every referenced
   // page must exist in the page store with the same CRC.
@@ -536,13 +481,12 @@ Result<FsckReport> SnapshotRepo::Fsck(const std::string& dir) {
     auto manifest_issue = [&report, &name](std::string detail) {
       report.issues.push_back({name, std::move(detail)});
     };
-    std::string text;
-    Status read = ReadTextFile(path, &text);
-    if (!read.ok()) {
-      manifest_issue(read.ToString());
+    auto text = ReadFile(path);
+    if (!text.ok()) {
+      manifest_issue(text.status().ToString());
       continue;
     }
-    std::vector<std::string> lines = Split(text, '\n');
+    std::vector<std::string> lines = Split(*text, '\n');
     if (lines.empty() || Trim(lines[0]) != kManifestHeader) {
       manifest_issue("bad header");
       continue;

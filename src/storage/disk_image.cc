@@ -1,6 +1,6 @@
 #include "storage/disk_image.h"
 
-#include <cstdio>
+#include "common/file_io.h"
 
 namespace dbfa {
 
@@ -34,33 +34,11 @@ void DiskImageBuilder::AppendTextGarbage(size_t size, Rng* rng) {
 }
 
 Status SaveImage(const std::string& path, ByteView image) {
-  FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IoError("cannot open for write: " + path);
-  }
-  size_t written = std::fwrite(image.data(), 1, image.size(), f);
-  std::fclose(f);
-  if (written != image.size()) {
-    return Status::IoError("short write: " + path);
-  }
-  return Status::Ok();
+  return WriteFile(path, AsStringView(image));
 }
 
 Result<Bytes> LoadImage(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::IoError("cannot open for read: " + path);
-  }
-  std::fseek(f, 0, SEEK_END);
-  long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  Bytes out(static_cast<size_t>(size < 0 ? 0 : size));
-  size_t read = out.empty() ? 0 : std::fread(out.data(), 1, out.size(), f);
-  std::fclose(f);
-  if (read != out.size()) {
-    return Status::IoError("short read: " + path);
-  }
-  return out;
+  return ReadFileBytes(path);
 }
 
 void CorruptRegion(Bytes* image, size_t offset, size_t len, Rng* rng) {

@@ -1,7 +1,7 @@
 // AuditDaemon: graceful shutdown draining in-flight captures, findings
 // equivalence with the one-shot detective over the same capture sequence,
-// stats/queue invariants under forced backpressure, and zero findings for
-// a clean fleet. Labeled serve-sanitize: `ctest -L serve` runs them in
+// stats/queue invariants under forced backpressure, zero findings for a
+// clean fleet, and failed feed/stats writes surfacing as errors. Labeled serve-sanitize: `ctest -L serve` runs them in
 // every build and the TSan job's `-L 'sanitize|snapshot'` picks them up
 // for race coverage.
 #include "serve/audit_daemon.h"
@@ -313,6 +313,79 @@ TEST(ServeTest, ResolveFindingClearsDedupAndAllowsRereport) {
   EXPECT_EQ(stats.invariants, "ok");
   EXPECT_NE(stats.ToJson().find("\"findings_resolved\": 1"),
             std::string::npos);
+}
+
+TEST(ServeTest, FailedFeedAppendFailsCaptureAndKeepsFindingUnreported) {
+  // The feed is the daemon's only durable output: a finding whose append
+  // fails must not be counted, mirrored, or marked reported.
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  auto db = Database::Open(DatabaseOptions{}).value();
+  SyntheticWorkload workload(db.get(), "Accounts", 17);
+  ASSERT_TRUE(workload.Setup(24).ok());
+  db->audit_log().SetEnabled(false);
+  ASSERT_TRUE(
+      db->ExecuteSql("INSERT INTO Accounts VALUES (9001, 'Ghost', 'X', 1.0)")
+          .ok());
+  db->audit_log().SetEnabled(true);
+  CarverConfig config;
+  config.params = GetDialect(db->params().dialect).value();
+
+  ServeOptions serve;
+  serve.root = FreshRoot("serve_feed_full");
+  fs::create_directories(serve.root);
+  fs::create_symlink("/dev/full",
+                     fs::path(serve.root) / AuditDaemon::kFeedFile);
+  serve.shards = 1;
+  auto daemon = AuditDaemon::Start(serve);
+  ASSERT_TRUE(daemon.ok()) << daemon.status().ToString();
+  ASSERT_TRUE((*daemon)->AddInstance("inst", config).ok());
+
+  auto image = db->SnapshotDisk();
+  ASSERT_TRUE(image.ok());
+  auto carve = Carver(config, CarveOptions{}).Carve(*image);
+  ASSERT_TRUE(carve.ok()) << carve.status().ToString();
+  DbDetective detective(&*carve, &db->audit_log());
+  auto mods = detective.FindUnattributedModifications();
+  ASSERT_TRUE(mods.ok());
+  ASSERT_EQ(mods->size(), 1u);
+
+  for (int capture = 0; capture < 2; ++capture) {
+    auto again = db->SnapshotDisk();
+    ASSERT_TRUE(again.ok());
+    ASSERT_TRUE(
+        (*daemon)->SubmitCapture(0, std::move(*again), db->audit_log()).ok());
+    (*daemon)->Drain();
+  }
+  EXPECT_TRUE((*daemon)->Findings().empty());
+  // Never marked reported, so nothing to clear — and the second capture
+  // tried (and failed) to report it again instead of deduplicating it.
+  auto cleared = (*daemon)->ResolveFinding(0, (*mods)[0]);
+  ASSERT_TRUE(cleared.ok());
+  EXPECT_FALSE(*cleared);
+
+  ASSERT_TRUE((*daemon)->Shutdown().ok());
+  ServeStats stats = (*daemon)->Stats();
+  EXPECT_EQ(stats.captures_failed, 2u);
+  EXPECT_EQ(stats.captures_completed, 0u);
+  EXPECT_EQ(stats.findings, 0u);
+  ASSERT_EQ(stats.instances.size(), 1u);
+  EXPECT_NE(stats.instances[0].last_error.find("IO_ERROR"), std::string::npos)
+      << stats.instances[0].last_error;
+  EXPECT_EQ(stats.invariants, "ok");
+}
+
+TEST(ServeTest, FailedStatsWriteFailsShutdown) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  ServeOptions serve;
+  serve.root = FreshRoot("serve_stats_full");
+  fs::create_directories(serve.root);
+  fs::create_symlink("/dev/full",
+                     fs::path(serve.root) / AuditDaemon::kStatsFile);
+  auto daemon = AuditDaemon::Start(serve);
+  ASSERT_TRUE(daemon.ok()) << daemon.status().ToString();
+  Status shutdown = (*daemon)->Shutdown();
+  EXPECT_EQ(shutdown.code(), StatusCode::kIoError) << shutdown.ToString();
+  EXPECT_EQ((*daemon)->Stats().invariants, "ok");
 }
 
 }  // namespace

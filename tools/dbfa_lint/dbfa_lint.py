@@ -36,6 +36,10 @@ express, documented in docs/static_analysis.md:
                     annotations, dbfa_lockcheck's cross-TU lock-order
                     analysis, and the DBFA_LOCK_DEBUG runtime validator —
                     a raw std primitive is invisible to all three.
+  raw-file-io       no fopen/freopen/fdopen/::open(/std::rename( in src/,
+                    tools/ or bench/ outside the file seam,
+                    common/file_io.cc, which checks every open, read,
+                    write, flush and close result.
 
 Suppression: append "// dbfa-lint: allow(<rule>): <why>" on the offending
 line or the line above it. File-level exemptions live in allowlist.txt
@@ -58,7 +62,7 @@ import re
 import sys
 
 RULES = ("raw-byte-read", "nodiscard-status", "unordered-iter",
-         "naked-rand-time", "hot-loop-string", "raw-sync")
+         "naked-rand-time", "hot-loop-string", "raw-sync", "raw-file-io")
 
 # Directories (relative to the repo root) whose output ordering is part of
 # the bit-identical determinism contract; unordered-iter fires only here.
@@ -385,6 +389,28 @@ def check_raw_sync(relpath, code, comments, findings):
             "(file-level exemptions: tools/dbfa_lint/allowlist.txt)"))
 
 
+# ---- raw-file-io ----------------------------------------------------------
+
+RAW_FILE_IO_RE = re.compile(
+    r"(?<![\w.>])(?:std::)?(fopen|freopen|fdopen)\s*\("
+    r"|(?<![\w:])(::open)\s*\("
+    r"|\b(std::rename)\s*\(")
+
+
+def check_raw_file_io(relpath, code, comments, findings):
+    if not relpath.startswith(("src/", "tools/", "bench/")):
+        return
+    for m in RAW_FILE_IO_RE.finditer(code):
+        ln = line_of(m.start(), code)
+        if allowed("raw-file-io", ln, comments, code):
+            continue
+        tok = next(g for g in m.groups() if g)
+        findings.append(Finding(
+            relpath, ln, "raw-file-io",
+            f"raw {tok}() outside the file seam; use common/file_io.h, "
+            "which checks every open, read, write, flush and close"))
+
+
 CHECKS = {
     "raw-byte-read": check_raw_byte_read,
     "nodiscard-status": check_nodiscard_status,
@@ -392,6 +418,7 @@ CHECKS = {
     "naked-rand-time": check_rand_time,
     "hot-loop-string": check_hot_loop_string,
     "raw-sync": check_raw_sync,
+    "raw-file-io": check_raw_file_io,
 }
 
 

@@ -20,7 +20,8 @@ tree, builds the global lock-order graph, and rejects:
                       rank; unranked mutexes are only legal while they
                       stay leaf-only.
   blocking-under-lock a blocking call under a held lock: file I/O
-                      (fopen/fwrite/std::filesystem mutations),
+                      (fopen/fwrite/std::filesystem mutations, the
+                      common/file_io seam),
                       BoundedQueue Push/Pop, ThreadPool Wait/ParallelFor,
                       or a CondVar::Wait on anything but the innermost
                       held mutex. Blocking while holding a lock turns
@@ -87,11 +88,13 @@ CV_WAIT_RE = re.compile(r"(?:\.|->)\s*Wait\s*\(\s*&\s*([^);]+?)\s*\)")
 
 # Calls that block (or may block) the calling thread. Kept deliberately
 # conservative: every pattern is either real file I/O or one of this
-# repo's own blocking primitives. std::filesystem::path is a pure value
-# type, not I/O, hence the carve-out.
+# repo's own blocking primitives (including the common/file_io seam).
+# std::filesystem::path is a pure value type, not I/O, hence the carve-out.
 BLOCKING_RE = re.compile(
     r"\b(?:std::)?(?:f(?:open|close|read|write|flush|printf|sync))\s*\("
     r"|\bstd::filesystem::(?!path\b)\w+\s*\("
+    r"|\b(?:ReadFile|ReadFileBytes|WriteFile|CommitFile|ScanBlocks)\s*\("
+    r"|(?:\.|->)\s*(?:Append|ReadAt)\s*\("
     r"|(?:\.|->)\s*(?:Push|TryPush|Pop|ParallelFor|Submit)\s*\("
     r"|(?:\.|->)\s*Wait\s*\(\s*\)")
 # Of the above, these never block: TryPush returns kFull immediately and

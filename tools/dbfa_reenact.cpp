@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "common/file_io.h"
 #include "common/strings.h"
 #include "core/carver.h"
 #include "core/config_io.h"
@@ -92,21 +93,6 @@ dbfa::Result<dbfa::CarveResult> CarveImage(const dbfa::CarverConfig& config,
   DBFA_ASSIGN_OR_RETURN(dbfa::Bytes image, dbfa::LoadImage(image_path));
   dbfa::Carver carver(config);
   return carver.Carve(image);
-}
-
-int WriteTextFile(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "write %s: cannot open\n", path.c_str());
-    return 1;
-  }
-  size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  int close_rc = std::fclose(f);
-  if (written != text.size() || close_rc != 0) {
-    std::fprintf(stderr, "write %s: short write\n", path.c_str());
-    return 1;
-  }
-  return 0;
 }
 
 // ---- simulate ---------------------------------------------------------------
@@ -208,13 +194,11 @@ int Simulate(const std::string& scenario, const std::string& dir) {
                  ec.message().c_str());
     return 1;
   }
-  if (int rc = WriteTextFile(dir + "/config.conf", ConfigToText(config));
-      rc != 0) {
-    return rc;
-  }
-  if (int rc = WriteTextFile(dir + "/audit.log", log_text); rc != 0) return rc;
-  if (auto s = SaveImage(dir + "/storage.img", *image); !s.ok()) {
-    std::fprintf(stderr, "image: %s\n", s.ToString().c_str());
+  Status saved = SaveConfig(dir + "/config.conf", config);
+  if (saved.ok()) saved = WriteFile(dir + "/audit.log", log_text);
+  if (saved.ok()) saved = SaveImage(dir + "/storage.img", *image);
+  if (!saved.ok()) {
+    std::fprintf(stderr, "%s\n", saved.ToString().c_str());
     return 1;
   }
   std::printf(
@@ -325,8 +309,9 @@ int main(int argc, char** argv) {
     }
     std::printf("%s", script->ToString().c_str());
     if (!script_out.empty()) {
-      if (int rc = WriteTextFile(script_out, script->ToSql()); rc != 0) {
-        return rc;
+      if (Status s = WriteFile(script_out, script->ToSql()); !s.ok()) {
+        std::fprintf(stderr, "%s\n", s.ToString().c_str());
+        return 1;
       }
       std::printf("recovery script written to %s\n", script_out.c_str());
     }

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "common/file_io.h"
 #include "serve/audit_daemon.h"
 #include "workload/fleet.h"
 
@@ -195,18 +196,13 @@ int Simulate(const SimulateArgs& args) {
 
 int PrintStatus(const std::string& root) {
   std::string path = root + "/" + dbfa::AuditDaemon::kStatsFile;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "status: cannot open %s (did a simulate run "
-                 "complete?)\n", path.c_str());
+  auto text = dbfa::ReadFile(path);
+  if (!text.ok()) {
+    std::fprintf(stderr, "status: %s (did a simulate run complete?)\n",
+                 text.status().ToString().c_str());
     return 1;
   }
-  char buf[4096];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    std::fwrite(buf, 1, n, stdout);
-  }
-  std::fclose(f);
+  std::fwrite(text->data(), 1, text->size(), stdout);
   return 0;
 }
 
