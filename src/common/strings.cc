@@ -1,6 +1,7 @@
 #include "common/strings.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 
 namespace dbfa {
@@ -19,6 +20,18 @@ std::string StrFormat(const char* fmt, ...) {
   }
   va_end(ap2);
   return out;
+}
+
+bool ParseU64(std::string_view s, uint64_t* out) {
+  if (s.empty()) return false;
+  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
+  return ec == std::errc() && ptr == s.data() + s.size();
+}
+
+bool ParseDouble(std::string_view s, double* out) {
+  if (s.empty()) return false;
+  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
+  return ec == std::errc() && ptr == s.data() + s.size();
 }
 
 std::vector<std::string> Split(std::string_view s, char sep) {

@@ -3,6 +3,7 @@
 #define DBFA_COMMON_STRINGS_H_
 
 #include <cstdarg>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,6 +29,15 @@ std::string ToUpper(std::string_view s);
 
 /// Case-insensitive ASCII equality.
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);
+
+/// Strict unsigned decimal parse of all of `s`: digits only (no sign, no
+/// whitespace, no trailing junk, not empty), overflow rejected. For numbers
+/// read from files and command lines, where strtoull's silent 0 on junk
+/// and wrapped negatives would be wrong.
+bool ParseU64(std::string_view s, uint64_t* out);
+
+/// Strict decimal floating-point parse of all of `s`, same rules.
+bool ParseDouble(std::string_view s, double* out);
 
 /// SQL LIKE matching with % (any run) and _ (any one char), case sensitive.
 bool LikeMatch(std::string_view text, std::string_view pattern);

@@ -103,12 +103,12 @@ struct CarvedIndexMeta {
   bool operator==(const CarvedIndexMeta&) const = default;
 };
 
-/// Lightweight carve metrics, populated by both `Carver` and
-/// `ParallelCarver`. Artifact outputs of the two carvers are identical;
-/// only `pages_probed` may be higher for the parallel carver, because chunk
-/// workers probe the full detection grid (they cannot skip accepted-page
-/// interiors the way the serial cursor does). Phase wall times for the
-/// parallel carver measure the whole concurrent wave.
+/// Lightweight carve metrics, populated by `Carver::Carve` on any pool.
+/// Artifact outputs are identical for every pool; only `pages_probed` may
+/// be higher on a pool of more than one worker, because the chunked page
+/// scan probes the full detection grid (it cannot skip accepted-page
+/// interiors the way the serial cursor does). Phase wall times on a pool
+/// measure the whole concurrent pass.
 struct CarveStats {
   size_t bytes_scanned = 0;      // image bytes the detection pass covered
   size_t pages_probed = 0;       // offsets where the magic test ran

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "common/strings.h"
+#include "core/page_scanner.h"
 
 namespace dbfa {
 namespace {
@@ -70,12 +71,13 @@ std::optional<CarvedPage> Carver::ProbePage(ByteView image,
   return carved;
 }
 
-Result<CarveResult> Carver::Carve(ByteView image) const {
+Result<CarveResult> Carver::Carve(ByteView image, ThreadPool* pool) const {
   const PageLayoutParams& p = config_.params;
   // A malformed parameter set (e.g. an oversized page_size or a header
   // field past header_size) would defeat the bounds reasoning below, so
   // reject it before touching any image byte.
   DBFA_RETURN_IF_ERROR(p.Validate());
+  if (pool != nullptr && pool->thread_count() <= 1) pool = nullptr;
   CarveResult result;
   result.dialect = p.dialect;
   result.image_size = image.size();
@@ -84,36 +86,63 @@ Result<CarveResult> Carver::Carve(ByteView image) const {
     result.string_pool = std::make_shared<StringPool>();
   }
 
-  // Pass 1: page detection. Accepting a page advances the cursor by a full
-  // page so page-interior bytes are never re-interpreted as page starts.
+  // Pass 1: page detection.
   auto detect_start = std::chrono::steady_clock::now();
-  size_t step = options_.scan_step == 0 ? 512 : options_.scan_step;
-  size_t offset = 0;
-  while (offset + p.page_size <= image.size()) {
-    ++result.stats.pages_probed;
-    std::optional<CarvedPage> carved = ProbePage(image, offset);
-    if (!carved.has_value()) {
-      offset += step;
-      continue;
-    }
-    if (!carved->checksum_ok) ++result.stats.checksum_failures;
-    result.pages.push_back(*carved);
-    offset += p.page_size;
+  auto probe = [&](size_t offset) { return ProbePage(image, offset); };
+  result.pages =
+      PageScanner(image.size(), p.page_size, options_)
+          .Scan<CarvedPage>(pool, probe, &result.stats.pages_probed);
+  for (const CarvedPage& page : result.pages) {
+    if (!page.checksum_ok) ++result.stats.checksum_failures;
   }
   result.stats.pages_accepted = result.pages.size();
   result.stats.detect_seconds = SecondsSince(detect_start);
 
-  // Pass 2: catalog reconstruction (schemas drive typed decoding later).
+  // Pass 2: catalog reconstruction (serial: it reads only the few catalog
+  // pages, and the schemas it yields drive typed decoding later).
   auto catalog_start = std::chrono::steady_clock::now();
   CarveCatalog(image, &result);
   result.stats.catalog_seconds = SecondsSince(catalog_start);
 
   // Passes 3-4: content.
   auto content_start = std::chrono::steady_clock::now();
-  CarveContentRange(image, result, 0, result.pages.size(), &result.records,
-                    &result.index_entries);
+  CarveContent(image, pool, &result);
   result.stats.content_seconds = SecondsSince(content_start);
   return result;
+}
+
+void Carver::CarveContent(ByteView image, ThreadPool* pool,
+                          CarveResult* result) const {
+  size_t n_pages = result->pages.size();
+  if (pool == nullptr) {
+    CarveContentRange(image, *result, 0, n_pages, &result->records,
+                      &result->index_entries);
+    return;
+  }
+  struct RangeOut {
+    std::vector<CarvedRecord> records;
+    std::vector<CarvedIndexEntry> entries;
+  };
+  size_t n_ranges = std::min(n_pages, pool->thread_count() * 4);
+  if (n_ranges == 0) return;
+  size_t per_range = (n_pages + n_ranges - 1) / n_ranges;
+  std::vector<RangeOut> outs((n_pages + per_range - 1) / per_range);
+  pool->ParallelFor(outs.size(), [&](size_t r) {
+    size_t begin = r * per_range;
+    CarveContentRange(image, *result, begin,
+                      std::min(begin + per_range, n_pages), &outs[r].records,
+                      &outs[r].entries);
+  });
+  // Ranges are contiguous and ordered, so concatenation in range order
+  // reproduces the serial artifact ordering exactly.
+  for (RangeOut& out : outs) {
+    result->records.insert(result->records.end(),
+                           std::make_move_iterator(out.records.begin()),
+                           std::make_move_iterator(out.records.end()));
+    result->index_entries.insert(result->index_entries.end(),
+                                 std::make_move_iterator(out.entries.begin()),
+                                 std::make_move_iterator(out.entries.end()));
+  }
 }
 
 void Carver::CarveContentRange(ByteView image, const CarveResult& base,
@@ -318,12 +347,12 @@ void Carver::CarveIndexPage(ByteView page, size_t page_index,
 
 Result<std::vector<CarveResult>> Carver::CarveMulti(
     ByteView image, const std::vector<CarverConfig>& configs,
-    CarveOptions options) {
+    CarveOptions options, ThreadPool* pool) {
   std::vector<CarveResult> results;
   results.reserve(configs.size());
   for (const CarverConfig& config : configs) {
     Carver carver(config, options);
-    DBFA_ASSIGN_OR_RETURN(CarveResult r, carver.Carve(image));
+    DBFA_ASSIGN_OR_RETURN(CarveResult r, carver.Carve(image, pool));
     results.push_back(std::move(r));
   }
   return results;

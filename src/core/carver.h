@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/thread_pool.h"
 #include "core/artifacts.h"
 #include "core/config_io.h"
 
@@ -37,12 +38,13 @@ struct CarveOptions {
   /// Run the slot-independent raw scan on pages whose slot directory is
   /// missing records or damaged.
   bool raw_scan_fallback = true;
-  /// Worker threads for ParallelCarver; 0 means hardware concurrency.
-  /// Ignored by the serial Carver.
+  /// Worker threads of the pool ParallelCarver and SnapshotRepo create;
+  /// 0 means hardware concurrency. Carver itself runs on the pool it is
+  /// handed.
   size_t num_threads = 0;
-  /// Pages per detection chunk for ParallelCarver; 0 sizes chunks
-  /// automatically from the image and thread count. Ignored by the serial
-  /// Carver. Exposed mainly so tests can force pages onto chunk edges.
+  /// Pages per detection chunk of a parallel scan (core/page_scanner.h); 0
+  /// sizes chunks automatically from the image and thread count. Exposed
+  /// mainly so tests can force pages onto chunk edges.
   size_t chunk_pages = 0;
   /// Intern string cells of carved records into a per-result StringPool
   /// (CarveResult::string_pool): each distinct value is stored once in an
@@ -58,13 +60,16 @@ class Carver {
   const CarverConfig& config() const { return config_; }
 
   /// Reconstructs all artifacts of this config's dialect from `image`.
-  Result<CarveResult> Carve(ByteView image) const;
+  /// With a `pool` of more than one worker, page detection and content
+  /// decoding fan out over it; the artifacts are identical for every pool
+  /// (docs/parallel_carving.md).
+  Result<CarveResult> Carve(ByteView image, ThreadPool* pool = nullptr) const;
 
   /// Runs one carver per candidate config over the same image (multi-DBMS
   /// images); returns one result per config, same order.
   static Result<std::vector<CarveResult>> CarveMulti(
       ByteView image, const std::vector<CarverConfig>& configs,
-      CarveOptions options = {});
+      CarveOptions options = {}, ThreadPool* pool = nullptr);
 
  private:
   /// True when the bytes at `offset` look like a page of this dialect.
@@ -74,6 +79,11 @@ class Carver {
   /// there look like a page of this dialect. Position-independent: reads
   /// only [offset, offset + page_size).
   std::optional<CarvedPage> ProbePage(ByteView image, size_t offset) const;
+
+  /// Passes 3-4 over all of result->pages, in contiguous page ranges on
+  /// `pool` (or inline when it is null) concatenated in range order.
+  void CarveContent(ByteView image, ThreadPool* pool,
+                    CarveResult* result) const;
 
   /// Pass 2: catalog reconstruction over base->pages (reads the page list,
   /// fills catalog_entries / schemas / indexes / dropped_objects).
@@ -95,8 +105,7 @@ class Carver {
                       const CarvedPage& meta,
                       std::vector<CarvedIndexEntry>* out) const;
 
-  friend class ParallelCarver;  // reuses the probe + content helpers
-  friend class SnapshotRepo;    // store-accelerated detection + per-page decode
+  friend class SnapshotRepo;  // store-first detection + per-page decode
 
   CarverConfig config_;
   PageFormatter fmt_;

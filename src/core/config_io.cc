@@ -12,24 +12,13 @@ namespace {
 
 const char* BoolText(bool b) { return b ? "1" : "0"; }
 
-// Strict decimal parse: digits only (no sign, no whitespace, no empty
-// string — strtoull would accept all three and quietly wrap negatives),
-// overflow rejected. Config files may come from hostile evidence bundles.
+// Strict decimal parse (ParseU64): config files may come from hostile
+// evidence bundles.
 Result<uint64_t> ParseUint(const std::string& v, const std::string& key) {
-  if (v.empty()) {
-    return Status::InvalidArgument("bad integer for " + key + ": empty");
-  }
   uint64_t n = 0;
-  for (char c : v) {
-    if (c < '0' || c > '9') {
-      return Status::InvalidArgument("bad integer for " + key + ": " + v);
-    }
-    uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (n > (UINT64_MAX - digit) / 10) {
-      return Status::InvalidArgument("integer overflow for " + key + ": " +
-                                     v);
-    }
-    n = n * 10 + digit;
+  if (!ParseU64(v, &n)) {
+    return Status::InvalidArgument("bad integer for " + key + ": '" + v +
+                                   "'");
   }
   return n;
 }

@@ -1,247 +1,32 @@
 #include "core/parallel_carver.h"
 
-#include <algorithm>
-#include <chrono>
-#include <numeric>
-
 namespace dbfa {
 namespace {
 
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-/// Offsets the serial cursor can ever probe are sums of scan steps and
-/// page sizes starting from 0, i.e. multiples of gcd(step, page_size).
-/// When step divides page_size (the common case: sector-granularity scans
-/// of 4/8/16 KB pages) the grid is simply every step-th offset.
-size_t ProbeGrid(size_t step, size_t page_size) {
-  if (page_size % step == 0) return step;
-  return std::gcd(step, page_size);
-}
-
-/// One (config, chunk) detection task: probe offsets [begin, end).
-struct DetectTask {
-  size_t config_index = 0;
-  size_t begin = 0;
-  size_t end = 0;
-};
-
-/// One (config, page range) content task over accepted pages [begin, end).
-struct ContentTask {
-  size_t config_index = 0;
-  size_t begin = 0;
-  size_t end = 0;
-};
-
-struct DetectOut {
-  std::vector<CarvedPage> candidates;
-  size_t probes = 0;
-};
-
-struct ContentOut {
-  std::vector<CarvedRecord> records;
-  std::vector<CarvedIndexEntry> entries;
-};
-
-/// Pages per detection chunk: honor the option, else size chunks so each
-/// worker sees a handful of tasks (load balancing against uneven garbage /
-/// page density) without drowning in scheduling overhead.
-size_t ChunkPages(const CarveOptions& options, size_t image_size,
-                  size_t page_size, size_t threads) {
-  if (options.chunk_pages > 0) return options.chunk_pages;
-  size_t image_pages = image_size / page_size + 1;
-  size_t target_tasks = threads * 4;
-  size_t pages = (image_pages + target_tasks - 1) / target_tasks;
-  return std::max<size_t>(16, pages);
+/// A pool of `num_threads` workers (0 = hardware concurrency), or null when
+/// that is a single thread: the serial carve needs no worker.
+std::unique_ptr<ThreadPool> MakePool(size_t num_threads) {
+  size_t n = num_threads == 0 ? ThreadPool::HardwareThreads() : num_threads;
+  if (n <= 1) return nullptr;
+  return std::make_unique<ThreadPool>(n);
 }
 
 }  // namespace
 
 ParallelCarver::ParallelCarver(CarverConfig config, CarveOptions options)
-    : serial_(std::move(config), options),
-      owned_pool_(new ThreadPool(options.num_threads)),
+    : carver_(std::move(config), options),
+      owned_pool_(MakePool(options.num_threads)),
       pool_(owned_pool_.get()) {}
 
 ParallelCarver::ParallelCarver(CarverConfig config, CarveOptions options,
                                ThreadPool* pool)
-    : serial_(std::move(config), options), pool_(pool) {}
-
-Result<CarveResult> ParallelCarver::Carve(ByteView image) const {
-  std::vector<Carver> carvers{serial_};
-  DBFA_ASSIGN_OR_RETURN(std::vector<CarveResult> results,
-                        CarveAll(image, carvers, pool_));
-  return std::move(results[0]);
-}
+    : carver_(std::move(config), options), pool_(pool) {}
 
 Result<std::vector<CarveResult>> ParallelCarver::CarveMulti(
     ByteView image, const std::vector<CarverConfig>& configs,
     CarveOptions options) {
-  ThreadPool pool(options.num_threads);
-  std::vector<Carver> carvers;
-  carvers.reserve(configs.size());
-  for (const CarverConfig& config : configs) {
-    carvers.emplace_back(config, options);
-  }
-  return CarveAll(image, carvers, &pool);
-}
-
-Result<std::vector<CarveResult>> ParallelCarver::CarveAll(
-    ByteView image, const std::vector<Carver>& carvers, ThreadPool* pool) {
-  for (const Carver& carver : carvers) {
-    DBFA_RETURN_IF_ERROR(carver.config().params.Validate());
-  }
-  size_t n_configs = carvers.size();
-  std::vector<CarveResult> results(n_configs);
-  for (size_t ci = 0; ci < n_configs; ++ci) {
-    results[ci].dialect = carvers[ci].config().params.dialect;
-    results[ci].image_size = image.size();
-    results[ci].stats.bytes_scanned = image.size();
-  }
-  if (n_configs == 0) return results;
-
-  // ---- Wave 1: chunked page detection, one task per (config, chunk) ----
-  //
-  // Chunk workers probe every grid offset in their range — unlike the
-  // serial cursor they cannot skip the interior of an accepted page,
-  // because the page may have started in another worker's chunk. The
-  // merge below replays the cursor rule to drop interior false positives.
-  auto detect_start = std::chrono::steady_clock::now();
-  std::vector<DetectTask> detect_tasks;
-  for (size_t ci = 0; ci < n_configs; ++ci) {
-    const PageLayoutParams& p = carvers[ci].config().params;
-    if (image.size() < p.page_size) continue;
-    size_t chunk_bytes =
-        ChunkPages(carvers[ci].options_, image.size(), p.page_size,
-                   pool->thread_count()) *
-        p.page_size;
-    // Probing past last_start cannot yield a page; clamp tasks there.
-    size_t last_start = image.size() - p.page_size;
-    for (size_t begin = 0; begin <= last_start; begin += chunk_bytes) {
-      // One page of overlap past the chunk end: a page straddling the
-      // boundary starts before `end` and is probed here; the same offsets
-      // at the head of the next chunk are deduplicated by the merge.
-      size_t end = std::min(begin + chunk_bytes + p.page_size,
-                            last_start + 1);
-      detect_tasks.push_back({ci, begin, end});
-    }
-  }
-  std::vector<DetectOut> detect_outs(detect_tasks.size());
-  pool->ParallelFor(detect_tasks.size(), [&](size_t t) {
-    const DetectTask& task = detect_tasks[t];
-    const Carver& carver = carvers[task.config_index];
-    const PageLayoutParams& p = carver.config().params;
-    size_t step = carver.options_.scan_step == 0 ? 512
-                                                 : carver.options_.scan_step;
-    size_t grid = ProbeGrid(step, p.page_size);
-    DetectOut& out = detect_outs[t];
-    for (size_t offset = task.begin; offset < task.end; offset += grid) {
-      ++out.probes;
-      std::optional<CarvedPage> page = carver.ProbePage(image, offset);
-      if (page.has_value()) out.candidates.push_back(*page);
-    }
-  });
-
-  // Deterministic merge per config: sort candidates by offset, drop
-  // overlap duplicates, then replay the serial cursor: a candidate is a
-  // real page iff the cursor (which jumps a full page on every accept and
-  // otherwise advances in scan steps) would actually probe its offset.
-  for (size_t t = 0; t < detect_tasks.size(); ++t) {
-    results[detect_tasks[t].config_index].stats.pages_probed +=
-        detect_outs[t].probes;
-  }
-  for (size_t ci = 0; ci < n_configs; ++ci) {
-    const PageLayoutParams& p = carvers[ci].config().params;
-    size_t step = carvers[ci].options_.scan_step == 0
-                      ? 512
-                      : carvers[ci].options_.scan_step;
-    std::vector<CarvedPage> candidates;
-    for (size_t t = 0; t < detect_tasks.size(); ++t) {
-      if (detect_tasks[t].config_index != ci) continue;
-      candidates.insert(candidates.end(), detect_outs[t].candidates.begin(),
-                        detect_outs[t].candidates.end());
-    }
-    std::sort(candidates.begin(), candidates.end(),
-              [](const CarvedPage& a, const CarvedPage& b) {
-                return a.image_offset < b.image_offset;
-              });
-    candidates.erase(std::unique(candidates.begin(), candidates.end(),
-                                 [](const CarvedPage& a, const CarvedPage& b) {
-                                   return a.image_offset == b.image_offset;
-                                 }),
-                     candidates.end());
-    CarveResult& result = results[ci];
-    size_t cursor = 0;
-    for (const CarvedPage& cand : candidates) {
-      if (cand.image_offset < cursor) continue;  // interior of accepted page
-      if ((cand.image_offset - cursor) % step != 0) {
-        continue;  // the serial cursor would step over this offset
-      }
-      if (!cand.checksum_ok) ++result.stats.checksum_failures;
-      result.pages.push_back(cand);
-      cursor = cand.image_offset + p.page_size;
-    }
-    result.stats.pages_accepted = result.pages.size();
-  }
-  double detect_seconds = SecondsSince(detect_start);
-
-  // ---- Pass 2: catalog reconstruction (serial; few pages, gates typing) --
-  for (size_t ci = 0; ci < n_configs; ++ci) {
-    auto catalog_start = std::chrono::steady_clock::now();
-    carvers[ci].CarveCatalog(image, &results[ci]);
-    results[ci].stats.catalog_seconds = SecondsSince(catalog_start);
-    results[ci].stats.detect_seconds = detect_seconds;
-  }
-
-  // ---- Wave 2: content decoding, one task per (config, page range) ----
-  //
-  // Each result gets its string pool before the wave starts; decode
-  // workers intern into it concurrently (the pool is sharded internally).
-  for (size_t ci = 0; ci < n_configs; ++ci) {
-    if (carvers[ci].options_.intern_strings) {
-      results[ci].string_pool = std::make_shared<StringPool>();
-    }
-  }
-  auto content_start = std::chrono::steady_clock::now();
-  std::vector<ContentTask> content_tasks;
-  for (size_t ci = 0; ci < n_configs; ++ci) {
-    size_t n_pages = results[ci].pages.size();
-    if (n_pages == 0) continue;
-    size_t n_ranges = std::min(n_pages, pool->thread_count() * 4);
-    size_t per_range = (n_pages + n_ranges - 1) / n_ranges;
-    for (size_t begin = 0; begin < n_pages; begin += per_range) {
-      content_tasks.push_back(
-          {ci, begin, std::min(begin + per_range, n_pages)});
-    }
-  }
-  std::vector<ContentOut> content_outs(content_tasks.size());
-  pool->ParallelFor(content_tasks.size(), [&](size_t t) {
-    const ContentTask& task = content_tasks[t];
-    ContentOut& out = content_outs[t];
-    carvers[task.config_index].CarveContentRange(
-        image, results[task.config_index], task.begin, task.end,
-        &out.records, &out.entries);
-  });
-
-  // Ranges are contiguous and tasks are ordered, so concatenation in task
-  // order reproduces the serial artifact ordering exactly.
-  double content_seconds = SecondsSince(content_start);
-  for (size_t t = 0; t < content_tasks.size(); ++t) {
-    CarveResult& result = results[content_tasks[t].config_index];
-    ContentOut& out = content_outs[t];
-    result.records.insert(result.records.end(),
-                          std::make_move_iterator(out.records.begin()),
-                          std::make_move_iterator(out.records.end()));
-    result.index_entries.insert(result.index_entries.end(),
-                                std::make_move_iterator(out.entries.begin()),
-                                std::make_move_iterator(out.entries.end()));
-  }
-  for (size_t ci = 0; ci < n_configs; ++ci) {
-    results[ci].stats.content_seconds = content_seconds;
-  }
-  return results;
+  std::unique_ptr<ThreadPool> pool = MakePool(options.num_threads);
+  return Carver::CarveMulti(image, configs, options, pool.get());
 }
 
 }  // namespace dbfa

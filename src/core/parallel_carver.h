@@ -1,22 +1,10 @@
-// Parallel chunked carving pipeline. Same inputs and byte-identical
-// outputs as the serial Carver (see docs/parallel_carving.md for the
-// equivalence argument), but page detection and content decoding fan out
-// over a reusable worker pool:
-//
-//   wave 1 — detection: the image is split into page-aligned chunks (with
-//     one page of overlap so boundary-straddling pages are never missed);
-//     each chunk task probes every detection-grid offset in its range and
-//     records candidate pages.
-//   merge  — candidates are sorted by image offset, overlap duplicates are
-//     deduplicated by offset, and the serial scanner's cursor rule
-//     ("accepting a page advances the cursor by a full page") is replayed
-//     over the candidate list, yielding exactly the serial page list
-//     regardless of thread count or chunk size.
-//   pass 2 — catalog reconstruction runs serially (it touches only the few
-//     catalog pages and its output gates typed decoding).
-//   wave 2 — content: contiguous ranges of the accepted page list are
-//     decoded concurrently; per-range outputs are concatenated in range
-//     order, reproducing the serial artifact ordering.
+// A Carver bundled with the worker pool it carves on. Same inputs and
+// byte-identical outputs as the serial Carver (see
+// docs/parallel_carving.md for the equivalence argument): page detection
+// runs the chunked scan of core/page_scanner.h, catalog reconstruction
+// stays serial, and contiguous ranges of the accepted page list are
+// decoded concurrently and concatenated in range order. At one thread no
+// pool is created and the carve is the serial one.
 #ifndef DBFA_CORE_PARALLEL_CARVER_H_
 #define DBFA_CORE_PARALLEL_CARVER_H_
 
@@ -31,35 +19,35 @@ namespace dbfa {
 
 class ParallelCarver {
  public:
-  /// Owns a pool of options.num_threads workers (0 = hardware concurrency).
+  /// Owns a pool of options.num_threads workers (0 = hardware
+  /// concurrency); none when that resolves to one thread.
   explicit ParallelCarver(CarverConfig config, CarveOptions options = {});
 
   /// Borrows `pool` (must outlive the carver); options.num_threads is
   /// ignored in favor of the pool's size.
   ParallelCarver(CarverConfig config, CarveOptions options, ThreadPool* pool);
 
-  const CarverConfig& config() const { return serial_.config(); }
-  size_t thread_count() const { return pool_->thread_count(); }
+  const CarverConfig& config() const { return carver_.config(); }
+  size_t thread_count() const {
+    return pool_ == nullptr ? 1 : pool_->thread_count();
+  }
 
   /// Reconstructs all artifacts from `image`; byte-identical to
   /// Carver(config, options).Carve(image).
-  Result<CarveResult> Carve(ByteView image) const;
+  Result<CarveResult> Carve(ByteView image) const {
+    return carver_.Carve(image, pool_);
+  }
 
-  /// Runs all configs over one image on a shared pool, fanning out one
-  /// task per (config, chunk) during detection and one per (config,
-  /// page range) during content decoding. Results match
-  /// Carver::CarveMulti element-wise, same order.
+  /// Runs all configs over one image on one pool of options.num_threads
+  /// workers. Results match Carver::CarveMulti element-wise, same order.
   static Result<std::vector<CarveResult>> CarveMulti(
       ByteView image, const std::vector<CarverConfig>& configs,
       CarveOptions options = {});
 
  private:
-  static Result<std::vector<CarveResult>> CarveAll(
-      ByteView image, const std::vector<Carver>& carvers, ThreadPool* pool);
-
-  Carver serial_;  // supplies ProbePage / CarveCatalog / CarveContentRange
+  Carver carver_;
   std::unique_ptr<ThreadPool> owned_pool_;
-  ThreadPool* pool_;  // owned_pool_.get() or a borrowed pool
+  ThreadPool* pool_;  // owned_pool_.get() or a borrowed pool; null inline
 };
 
 }  // namespace dbfa

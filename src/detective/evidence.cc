@@ -1,23 +1,11 @@
 #include "detective/evidence.h"
 
-#include <charconv>
 #include <set>
 
 #include "common/strings.h"
 #include "storage/disk_image.h"
 
 namespace dbfa {
-namespace {
-
-/// Strict full-field numeric parse for manifest fields (no leading signs,
-/// no trailing junk, no silent truncation).
-bool ParseField(std::string_view s, uint64_t* out) {
-  if (s.empty()) return false;
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
-  return ec == std::errc() && ptr == s.data() + s.size();
-}
-
-}  // namespace
 
 Status EvidencePackage::SaveTo(const std::string& dir) const {
   DBFA_RETURN_IF_ERROR(SaveImage(dir + "/evidence.img", image));
@@ -71,9 +59,9 @@ Result<EvidencePackage> EvidencePackage::LoadFrom(const std::string& dir) {
     uint64_t object_id = 0;
     uint64_t page_id = 0;
     uint64_t original_offset = 0;
-    if (fields.size() != 3 || !ParseField(fields[0], &object_id) ||
-        !ParseField(fields[1], &page_id) ||
-        !ParseField(fields[2], &original_offset) || object_id == 0 ||
+    if (fields.size() != 3 || !ParseU64(fields[0], &object_id) ||
+        !ParseU64(fields[1], &page_id) ||
+        !ParseU64(fields[2], &original_offset) || object_id == 0 ||
         object_id > 0xFFFFFFFFull || page_id == 0 ||
         page_id > 0xFFFFFFFFull) {
       return Status::Corruption(

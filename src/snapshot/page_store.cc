@@ -28,24 +28,13 @@ Result<std::unique_ptr<PageStore>> PageStore::Open(const std::string& path,
 
 const PageStore::Stored* PageStore::Index(const PageStoreEntry& entry,
                                           uint64_t offset) {
-  auto stored = std::make_unique<Stored>();
-  stored->entry = entry;
-  stored->entry.meta.image_offset = 0;
-  stored->file_offset = offset;
-  const Stored* raw = stored.get();
-  buckets_[entry.crc].push_back(raw);
-  entries_.push_back(std::move(stored));
-  return raw;
-}
-
-const PageStore::Stored* PageStore::Find(uint32_t crc,
-                                         const PageHash& hash) const {
-  auto it = buckets_.find(crc);
-  if (it == buckets_.end()) return nullptr;
-  for (const Stored* s : it->second) {
-    if (s->entry.hash == hash) return s;
+  auto [it, inserted] = index_.try_emplace(entry.hash);
+  if (inserted) {
+    it->second.entry = entry;
+    it->second.entry.meta.image_offset = 0;
+    it->second.file_offset = offset;
   }
-  return nullptr;
+  return &it->second;
 }
 
 Result<const PageStore::Stored*> PageStore::Put(const PageStoreEntry& entry,
@@ -55,7 +44,7 @@ Result<const PageStore::Stored*> PageStore::Put(const PageStoreEntry& entry,
         StrFormat("page store: page is %zu bytes, store page size is %zu",
                   page.size(), page_size_));
   }
-  if (const Stored* existing = Find(entry.crc, entry.hash)) return existing;
+  if (const Stored* existing = Find(entry.hash)) return existing;
   std::string payload;
   EncodePageEntry(entry, page, &payload);
   DBFA_ASSIGN_OR_RETURN(uint64_t offset, file_.Append(payload));

@@ -1,22 +1,21 @@
 // Content-addressed page store: every unique page seen across snapshots,
 // stored once in an append-only checksummed block file (pages.bin).
 //
-// The in-memory index is small — ~48 bytes per unique page — because page
-// bytes stay on disk and are re-read only during assembly (catalog pages,
-// cache-miss fallback decodes). Lookup is two-tier: the CRC-32 bucket is
-// the fast reject (a brand-new page almost never has a stored CRC twin),
-// and only bucket hits pay the 128-bit strong-hash comparison.
+// The in-memory index is small — one map node per unique page — because
+// page bytes stay on disk and are re-read only during assembly (catalog
+// pages, cache-miss fallback decodes). It is keyed by the 128-bit content
+// hash alone; each entry's CRC-32 is a stored integrity value (Fsck and
+// manifest loading verify it), not a lookup key.
 //
-// Single-orchestrator contract, like SpillManager: one thread opens,
-// queries and appends. Ingest workers decode from the *image*, never from
-// the store, so the store needs no locking.
+// Concurrency contract: const Find may run on any number of threads while
+// no Put runs (ingest's detection scan probes the store from the worker
+// pool); open, Put and ReadPage belong to one orchestrating thread.
 #ifndef DBFA_SNAPSHOT_PAGE_STORE_H_
 #define DBFA_SNAPSHOT_PAGE_STORE_H_
 
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "common/bytes.h"
 #include "common/file_io.h"
@@ -45,17 +44,14 @@ class PageStore {
   PageStore& operator=(const PageStore&) = delete;
 
   size_t page_size() const { return page_size_; }
-  size_t size() const { return entries_.size(); }
+  size_t size() const { return index_.size(); }
 
-  /// Fast reject: false means no stored page has this CRC-32, so the
-  /// caller can skip the strong hash entirely.
-  bool MaybeContains(uint32_t crc) const {
-    return buckets_.find(crc) != buckets_.end();
+  /// The stored page with content hash `hash`; nullptr when there is none.
+  /// The returned pointer is stable until the store is destroyed.
+  const Stored* Find(const PageHash& hash) const {
+    auto it = index_.find(hash);
+    return it == index_.end() ? nullptr : &it->second;
   }
-
-  /// Exact lookup; nullptr when the page is not stored. The returned
-  /// pointer is stable until the store is destroyed.
-  const Stored* Find(uint32_t crc, const PageHash& hash) const;
 
   /// Appends a page (no-op returning the existing entry when the hash is
   /// already stored). `entry.meta.image_offset` is ignored and stored as 0.
@@ -73,10 +69,8 @@ class PageStore {
   size_t page_size_;
   BlockFile file_;
 
-  // Owned entries in append order; buckets_ maps CRC-32 to the entries
-  // sharing it (almost always exactly one).
-  std::vector<std::unique_ptr<Stored>> entries_;
-  std::unordered_map<uint32_t, std::vector<const Stored*>> buckets_;
+  // Node-based, so Stored addresses survive rehashing.
+  std::unordered_map<PageHash, Stored, PageHashHasher> index_;
 };
 
 }  // namespace dbfa

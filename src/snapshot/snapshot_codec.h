@@ -4,9 +4,8 @@
 // allowed raw byte reads by dbfa_lint (tools/dbfa_lint/allowlist.txt):
 //
 //   PageHash       128-bit endian-stable content hash. The page store keys
-//                  pages by it; slice-by-8 CRC-32 (common/checksum.h) is
-//                  the fast reject in front of it, so a brand-new page
-//                  never pays the strong hash.
+//                  pages by it alone; ingest detection hashes every
+//                  candidate page once and looks the hash up.
 //   entry payloads the page-store entry (hash + content-derived CarvedPage
 //                  metadata + page bytes) and the artifact-cache entry
 //                  (per-page carved records and index entries, serialized
@@ -33,9 +32,9 @@ namespace dbfa {
 
 /// 128-bit content hash: the page store's address space. Endian-stable, so
 /// a repository created on one host resolves on any other. Not
-/// cryptographic — dedup keys, not signatures; CRC-32 plus 128 bits makes
-/// an accidental collision vanishingly unlikely, and the store keeps the
-/// full page bytes so any suspected collision is checkable.
+/// cryptographic — dedup keys, not signatures; 128 bits make an
+/// accidental collision vanishingly unlikely, and the store keeps the full
+/// page bytes so any suspected collision is checkable.
 struct PageHash {
   std::array<uint8_t, 16> bytes{};
 
@@ -68,7 +67,7 @@ inline PageHash HashString(std::string_view s) {
 /// `meta.image_offset` is position-dependent and always stored as 0.
 struct PageStoreEntry {
   PageHash hash;
-  uint32_t crc = 0;  // CRC-32 of the page bytes (the fast-reject key)
+  uint32_t crc = 0;  // CRC-32 of the page bytes (verified by Fsck)
   CarvedPage meta;
 };
 

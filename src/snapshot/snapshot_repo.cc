@@ -14,6 +14,7 @@
 #include "common/file_io.h"
 #include "common/strings.h"
 #include "core/config_io.h"
+#include "core/page_scanner.h"
 
 namespace dbfa {
 namespace {
@@ -25,12 +26,6 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
-}
-
-bool ParseU64(std::string_view s, uint64_t* out) {
-  if (s.empty()) return false;
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
-  return ec == std::errc() && ptr == s.data() + s.size();
 }
 
 }  // namespace
@@ -266,11 +261,16 @@ Status SnapshotRepo::LoadManifests() {
           return bad_line();
         }
         DBFA_ASSIGN_OR_RETURN(PageHash hash, PageHash::FromHex(parts[3]));
-        const PageStore::Stored* stored =
-            page_store_->Find(static_cast<uint32_t>(crc), hash);
+        const PageStore::Stored* stored = page_store_->Find(hash);
         if (stored == nullptr) {
           return Status::Corruption(
               StrFormat("snapshot manifest %s: page %s missing from store",
+                        path.c_str(), hash.ToHex().c_str()));
+        }
+        if (stored->entry.crc != crc) {
+          return Status::Corruption(
+              StrFormat("snapshot manifest %s: page %s CRC disagrees with "
+                        "the page store",
                         path.c_str(), hash.ToHex().c_str()));
         }
         snap.offsets.push_back(static_cast<size_t>(offset));
@@ -632,53 +632,58 @@ Result<IngestStats> SnapshotRepo::Ingest(ByteView image) {
   snap.id = stats.snapshot_id;
   snap.image_size = image.size();
 
-  // Pass 1: store-accelerated page detection, replaying the serial cursor
-  // rule (accept advances by a full page). The accept decision is a pure
-  // function of the window's bytes, so a store hit — same bytes, accepted
-  // before — can reuse the stored metadata without re-probing.
-  auto detect_start = std::chrono::steady_clock::now();
-  size_t step = options_.scan_step == 0 ? 512 : options_.scan_step;
-  size_t page_estimate = image.size() / p.page_size;
-  result.pages.reserve(page_estimate);
-  snap.offsets.reserve(page_estimate);
-  snap.pages.reserve(page_estimate);
-  size_t offset = 0;
-  while (offset + p.page_size <= image.size()) {
-    ++result.stats.pages_probed;
+  // Pass 1: page detection on the repository pool, store first. Whether a
+  // window is a page, and its page metadata, depend only on its bytes, so
+  // a stored page (same bytes, accepted before) reuses its stored metadata
+  // without being probed or having its checksum verified again. The scan
+  // only reads the store; new pages are stored below, in page order.
+  struct Found {
+    CarvedPage meta;
+    PageHash hash;
+    const PageStore::Stored* stored;
+  };
+  auto probe = [&](size_t offset) -> std::optional<Found> {
     const uint8_t* window = image.data() + offset;
     if (std::memcmp(window + p.magic_offset, p.magic.data(),
                     p.magic.size()) != 0) {
-      offset += step;
-      continue;
+      return std::nullopt;
     }
-    ByteView page_bytes(window, p.page_size);
-    uint32_t crc = Crc32(page_bytes);
-    const PageStore::Stored* stored = nullptr;
-    if (page_store_->MaybeContains(crc)) {
-      stored = page_store_->Find(crc, HashBytes(page_bytes));
+    PageHash hash = HashBytes(ByteView(window, p.page_size));
+    if (const PageStore::Stored* stored = page_store_->Find(hash)) {
+      CarvedPage meta = stored->entry.meta;
+      meta.image_offset = offset;
+      return Found{meta, hash, stored};
     }
-    if (stored == nullptr) {
-      std::optional<CarvedPage> carved = carver_.ProbePage(image, offset);
-      if (!carved.has_value()) {
-        offset += step;
-        continue;
-      }
-      PageStoreEntry entry;
-      entry.hash = HashBytes(page_bytes);
-      entry.crc = crc;
-      entry.meta = *carved;
-      DBFA_ASSIGN_OR_RETURN(stored, page_store_->Put(entry, page_bytes));
-      ++stats.pages_new;
-    } else {
+    std::optional<CarvedPage> carved = carver_.ProbePage(image, offset);
+    if (!carved.has_value()) return std::nullopt;
+    return Found{*carved, hash, nullptr};
+  };
+  auto detect_start = std::chrono::steady_clock::now();
+  std::vector<Found> found =
+      PageScanner(image.size(), p.page_size, options_)
+          .Scan<Found>(Pool(), probe, &result.stats.pages_probed);
+
+  result.pages.reserve(found.size());
+  snap.offsets.reserve(found.size());
+  snap.pages.reserve(found.size());
+  for (const Found& f : found) {
+    // A page new to the store may have been stored by an earlier copy of
+    // itself in this same capture.
+    const PageStore::Stored* stored =
+        f.stored != nullptr ? f.stored : page_store_->Find(f.hash);
+    if (stored != nullptr) {
       ++stats.pages_reused;
+    } else {
+      ByteView page_bytes = image.Slice(f.meta.image_offset, p.page_size);
+      DBFA_ASSIGN_OR_RETURN(
+          stored,
+          page_store_->Put({f.hash, Crc32(page_bytes), f.meta}, page_bytes));
+      ++stats.pages_new;
     }
-    CarvedPage meta = stored->entry.meta;
-    meta.image_offset = offset;
-    if (!meta.checksum_ok) ++result.stats.checksum_failures;
-    result.pages.push_back(meta);
-    snap.offsets.push_back(offset);
+    if (!f.meta.checksum_ok) ++result.stats.checksum_failures;
+    result.pages.push_back(f.meta);
+    snap.offsets.push_back(f.meta.image_offset);
     snap.pages.push_back(stored);
-    offset += p.page_size;
   }
   result.stats.pages_accepted = result.pages.size();
   stats.pages_total = result.pages.size();

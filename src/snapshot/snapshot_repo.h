@@ -174,13 +174,15 @@ class SnapshotRepo {
   const ArtifactCache& artifact_cache() const { return *artifact_cache_; }
 
   /// Ingests one capture as the next snapshot (ids are 1, 2, ...).
-  /// Detection replays the serial carver's cursor: at each offset the page
-  /// magic is memcmp'd first, then CRC-32 fast-rejects against the store,
-  /// and only a CRC bucket hit pays the 128-bit hash — so a warm re-ingest
-  /// accepts unchanged pages without re-probing or re-verifying them, and
-  /// reuses their cached artifacts without decoding. New/changed pages are
-  /// decoded page-parallel on the worker pool; outputs are concatenated in
-  /// page order, so the result is identical for every thread count.
+  /// Detection is the carver's page scan (core/page_scanner.h) on the
+  /// worker pool with a store-first probe: at each offset the page magic is
+  /// memcmp'd, then the 128-bit content hash is looked up in the page
+  /// store, and only a store miss is probed as a page — so a warm re-ingest
+  /// accepts unchanged pages for one hash each, without re-verifying their
+  /// checksums, and reuses their cached artifacts without decoding.
+  /// New/changed pages are decoded page-parallel on the same pool; outputs
+  /// are merged in page order, so the result is identical for every thread
+  /// count.
   Result<IngestStats> Ingest(ByteView image);
 
   /// Snapshots in ascending id order.
@@ -256,7 +258,8 @@ class SnapshotRepo {
   bool ContextFor(const CarveResult& base, const ContextSet& contexts,
                   size_t i, PageHash* context) const;
 
-  /// Worker pool for the content pass; nullptr when running inline.
+  /// Worker pool for detection and the content pass; nullptr when running
+  /// inline.
   ThreadPool* Pool();
 
   std::string dir_;

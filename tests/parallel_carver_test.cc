@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -155,6 +156,29 @@ TEST(ParallelCarverTest, RamSnapshotWithPageSizeStepMatchesSerial) {
   CarveOptions options;
   options.scan_step = db->params().page_size;  // frames are page-aligned
   ExpectParallelMatchesSerial(ram, ConfigFor("db2_like"), options);
+}
+
+TEST(ParallelCarverTest, StepsPastThePageMatchSerial) {
+  // A step larger than the rest of the image ends the scan; one that does
+  // not divide the page size puts the probe grid on every byte. Leading
+  // zeros keep the first page off offset 0; without them the leading run
+  // of pages is accepted.
+  auto db = PopulatedDb("postgres_like", 40);
+  auto file = db->SnapshotDisk();
+  ASSERT_TRUE(file.ok());
+  Bytes shifted(512, 0);
+  shifted.insert(shifted.end(), file->begin(), file->end());
+  size_t page_size = db->params().page_size;
+  for (const Bytes* image : {&shifted, &*file}) {
+    for (size_t step : {SIZE_MAX, page_size + 1}) {
+      SCOPED_TRACE(StrFormat("step=%zu image=%zu bytes", step, image->size()));
+      CarveOptions options;
+      options.scan_step = step;
+      ExpectParallelMatchesSerial(*image, ConfigFor("postgres_like"), options);
+      ExpectParallelMatchesSerial(*image, ConfigFor("postgres_like"), options,
+                                  /*forced_chunk_pages=*/1);
+    }
+  }
 }
 
 TEST(ParallelCarverTest, CarveMultiMatchesSerialCarveMulti) {

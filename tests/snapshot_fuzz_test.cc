@@ -7,6 +7,7 @@
 // pure acceleration, never a semantic change.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -118,10 +119,15 @@ void MutateImage(Bytes* image, size_t page_size, Rng* rng) {
   }
 }
 
+/// The IngestStats counters of one ingest (its timers excluded).
+using IngestCounts = std::array<size_t, 5>;
+
 /// Runs one full mutate-and-reingest sequence and asserts cached-assembly
-/// equality with a fresh serial carve after every ingest.
+/// equality with a fresh serial carve after every ingest. Appends each
+/// ingest's counters to *counts when given.
 void RunSequence(const std::string& dialect, uint64_t seed, size_t threads,
-                 bool parse_bad_checksum_pages) {
+                 bool parse_bad_checksum_pages,
+                 std::vector<IngestCounts>* counts = nullptr) {
   SCOPED_TRACE(StrFormat("dialect=%s seed=%llu threads=%zu bad_pages=%d",
                          dialect.c_str(),
                          static_cast<unsigned long long>(seed), threads,
@@ -146,6 +152,11 @@ void RunSequence(const std::string& dialect, uint64_t seed, size_t threads,
     SCOPED_TRACE(StrFormat("round=%d image=%zu bytes", round, image.size()));
     auto stats = (*repo)->Ingest(image);
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    if (counts != nullptr) {
+      counts->push_back({stats->pages_total, stats->pages_reused,
+                         stats->pages_new, stats->artifacts_reused,
+                         stats->artifacts_carved});
+    }
     auto expected = serial.Carve(image);
     ASSERT_TRUE(expected.ok()) << expected.status().ToString();
     auto assembled = (*repo)->AssembleCarve(stats->snapshot_id);
@@ -171,18 +182,28 @@ void RunSequence(const std::string& dialect, uint64_t seed, size_t threads,
   fs::remove_all(dir);
 }
 
-TEST(SnapshotFuzzTest, MutateAndReingestMatchesSerialAcrossThreadCounts) {
+/// RunSequence at every thread count in kThreadCounts; the ingest counters
+/// must not depend on the thread count either.
+void RunThreadMatrix(const std::string& dialect, uint64_t seed,
+                     bool parse_bad_checksum_pages) {
+  std::vector<IngestCounts> serial_counts;
   for (size_t threads : kThreadCounts) {
-    RunSequence("postgres_like", 101, threads,
-                /*parse_bad_checksum_pages=*/false);
+    std::vector<IngestCounts> counts;
+    RunSequence(dialect, seed, threads, parse_bad_checksum_pages, &counts);
+    if (threads == kThreadCounts[0]) {
+      serial_counts = counts;
+    } else {
+      EXPECT_EQ(counts, serial_counts) << "threads=" << threads;
+    }
   }
 }
 
+TEST(SnapshotFuzzTest, MutateAndReingestMatchesSerialAcrossThreadCounts) {
+  RunThreadMatrix("postgres_like", 101, /*parse_bad_checksum_pages=*/false);
+}
+
 TEST(SnapshotFuzzTest, MutateAndReingestWithBadChecksumParsing) {
-  for (size_t threads : kThreadCounts) {
-    RunSequence("sqlite_like", 202, threads,
-                /*parse_bad_checksum_pages=*/true);
-  }
+  RunThreadMatrix("sqlite_like", 202, /*parse_bad_checksum_pages=*/true);
 }
 
 TEST(SnapshotFuzzTest, ManySeedsSingleThread) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "carve_equivalence.h"
+#include "common/file_io.h"
 #include "common/strings.h"
 #include "core/carver.h"
 #include "engine/database.h"
@@ -406,6 +408,104 @@ TEST(SnapshotRepoTest, IngestRejectsEmptyImageAndUnknownSnapshotIds) {
   EXPECT_FALSE((*repo)->Ingest(ByteView()).ok());
   EXPECT_TRUE((*repo)->AssembleCarve(1).status().code() == StatusCode::kNotFound);
   EXPECT_TRUE((*repo)->Diff(1, 2).status().code() == StatusCode::kNotFound);
+}
+
+TEST(SnapshotRepoTest, StepsPastThePageMatchSerialCarve) {
+  // A step larger than the rest of the image ends the scan instead of
+  // wrapping the cursor, on every thread count. Leading zeros put a miss
+  // first; without them the leading run of pages is accepted.
+  CarverConfig config = ConfigFor("postgres_like");
+  auto db = PopulatedDb("postgres_like", 60);
+  auto file = db->SnapshotDisk();
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  Bytes shifted(512, 0);
+  shifted.insert(shifted.end(), file->begin(), file->end());
+  for (const Bytes* image : {&shifted, &*file}) {
+    for (size_t step : {SIZE_MAX, size_t{config.params.page_size} + 1}) {
+      for (size_t threads : {1, 4}) {
+        SCOPED_TRACE(StrFormat("image=%zu bytes step=%zu threads=%zu",
+                               image->size(), step, threads));
+        std::string dir = RepoDir("snap_big_step");
+        CarveOptions options;
+        options.scan_step = step;
+        options.num_threads = threads;
+        auto repo = SnapshotRepo::Create(dir, config, options);
+        ASSERT_TRUE(repo.ok()) << repo.status().ToString();
+        ASSERT_TRUE((*repo)->Ingest(*image).ok());
+        auto serial = Carver(config, (*repo)->options()).Carve(*image);
+        ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+        auto assembled = (*repo)->AssembleCarve(1);
+        ASSERT_TRUE(assembled.ok()) << assembled.status().ToString();
+        ExpectSameCarveResult(*serial, *assembled);
+      }
+    }
+  }
+}
+
+TEST(SnapshotRepoTest, RepeatedNewPageIsStoredOnce) {
+  // Detection only reads the page store; a page new to the store that
+  // occurs twice in one capture is stored once and counted once as new,
+  // once as reused, on every thread count.
+  CarverConfig config = ConfigFor("postgres_like");
+  size_t page_size = config.params.page_size;
+  auto db = PopulatedDb("postgres_like", 40);
+  auto file = db->SnapshotDisk();
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  auto carved = Carver(config).Carve(*file);
+  ASSERT_TRUE(carved.ok()) << carved.status().ToString();
+  ASSERT_FALSE(carved->pages.empty());
+  ByteView page = ByteView(*file).Slice(carved->pages[0].image_offset,
+                                        page_size);
+  Bytes image = page.ToBytes();
+  image.insert(image.end(), page.data(), page.data() + page.size());
+  for (size_t threads : {1, 4}) {
+    SCOPED_TRACE(StrFormat("threads=%zu", threads));
+    std::string dir = RepoDir("snap_repeated_page");
+    CarveOptions options;
+    options.num_threads = threads;
+    auto repo = SnapshotRepo::Create(dir, config, options);
+    ASSERT_TRUE(repo.ok()) << repo.status().ToString();
+    auto stats = (*repo)->Ingest(image);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(stats->pages_total, 2u);
+    EXPECT_EQ(stats->pages_new, 1u);
+    EXPECT_EQ(stats->pages_reused, 1u);
+    EXPECT_EQ((*repo)->page_store().size(), 1u);
+    auto serial = Carver(config, (*repo)->options()).Carve(image);
+    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+    auto assembled = (*repo)->AssembleCarve(1);
+    ASSERT_TRUE(assembled.ok()) << assembled.status().ToString();
+    ExpectSameCarveResult(*serial, *assembled);
+  }
+}
+
+TEST(SnapshotRepoTest, ManifestCrcMismatchFailsOpen) {
+  // The store is keyed by the content hash alone, but a manifest's CRC
+  // column is still checked against the stored entry.
+  std::string dir = RepoDir("snap_manifest_crc");
+  {
+    auto repo = SnapshotRepo::Create(dir, ConfigFor("postgres_like"));
+    ASSERT_TRUE(repo.ok()) << repo.status().ToString();
+    auto db = PopulatedDb("postgres_like", 40);
+    ASSERT_TRUE((*repo)->Ingest(CaptureImage(db.get(), 11)).ok());
+  }
+  std::string manifest = (fs::path(dir) / "snapshots" / "1.manifest").string();
+  auto text = ReadFile(manifest);
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  // "page <offset> <crc> <hash>": change the first page line's CRC.
+  size_t line = text->find("\npage ");
+  ASSERT_NE(line, std::string::npos);
+  size_t crc_begin = text->find(' ', line + 6) + 1;
+  size_t crc_end = text->find(' ', crc_begin);
+  uint64_t crc = 0;
+  ASSERT_TRUE(ParseU64(text->substr(crc_begin, crc_end - crc_begin), &crc));
+  text->replace(crc_begin, crc_end - crc_begin, std::to_string(crc ^ 1));
+  ASSERT_TRUE(WriteFile(manifest, *text).ok());
+
+  auto repo = SnapshotRepo::Open(dir);
+  ASSERT_FALSE(repo.ok());
+  EXPECT_EQ(repo.status().code(), StatusCode::kCorruption)
+      << repo.status().ToString();
 }
 
 TEST(SnapshotRepoTest, RepoLockExcludesConcurrentOpen) {

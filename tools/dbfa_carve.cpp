@@ -5,15 +5,13 @@
 //
 // Prints the artifact summary; flags add record listings (all or
 // delete-marked only), catalog content, and index-entry counts.
-// --threads=N carves with the parallel chunked pipeline (N workers;
-// 0 = hardware concurrency); output is byte-identical to the default
-// serial carve.
+// --threads=N carves on N workers (0 = hardware concurrency; default 1,
+// the serial carve); output is byte-identical for every N. A malformed
+// numeric value prints usage and exits 2.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
-#include "core/carver.h"
+#include "common/strings.h"
 #include "core/parallel_carver.h"
 #include "storage/disk_image.h"
 
@@ -39,14 +37,15 @@ int main(int argc, char** argv) {
   bool deleted_only = false;
   bool show_catalog = false;
   bool show_indexes = false;
-  size_t max_records = 50;
-  bool parallel = false;
+  uint64_t max_records = 50;
   CarveOptions options;
+  options.num_threads = 1;
   for (int i = 3; i < argc; ++i) {
     std::string arg = argv[i];
+    uint64_t v = 0;
     if (arg.rfind("--records=", 0) == 0) {
       show_records = true;
-      max_records = std::strtoull(arg.c_str() + 10, nullptr, 10);
+      if (!ParseU64(arg.c_str() + 10, &max_records)) return Usage();
     } else if (arg == "--records") {
       show_records = true;
     } else if (arg == "--deleted") {
@@ -57,10 +56,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--indexes") {
       show_indexes = true;
     } else if (arg.rfind("--step=", 0) == 0) {
-      options.scan_step = std::strtoull(arg.c_str() + 7, nullptr, 10);
+      if (!ParseU64(arg.c_str() + 7, &v)) return Usage();
+      options.scan_step = static_cast<size_t>(v);
     } else if (arg.rfind("--threads=", 0) == 0) {
-      options.num_threads = std::strtoull(arg.c_str() + 10, nullptr, 10);
-      parallel = options.num_threads != 1;
+      if (!ParseU64(arg.c_str() + 10, &v)) return Usage();
+      options.num_threads = static_cast<size_t>(v);
     } else {
       return Usage();
     }
@@ -76,9 +76,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "image: %s\n", image.status().ToString().c_str());
     return 1;
   }
-  Result<CarveResult> result =
-      parallel ? ParallelCarver(*config, options).Carve(*image)
-               : Carver(*config, options).Carve(*image);
+  Result<CarveResult> result = ParallelCarver(*config, options).Carve(*image);
   if (!result.ok()) {
     std::fprintf(stderr, "carve: %s\n", result.status().ToString().c_str());
     return 1;

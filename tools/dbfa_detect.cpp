@@ -4,36 +4,43 @@
 //   dbfa_detect <image> <config.conf> <audit.log> [--evidence=DIR]
 //               [--threads=N]
 //
-// --threads=N carves the image with the parallel pipeline (N workers;
-// 0 = hardware concurrency) before analysis; findings are identical.
+// --threads=N carves the image on N workers (0 = hardware concurrency;
+// default 1, the serial carve) before analysis; findings are identical.
+// A malformed thread count prints usage and exits 2.
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 
-#include "core/carver.h"
+#include "common/strings.h"
 #include "core/parallel_carver.h"
 #include "detective/confidence.h"
 #include "detective/evidence.h"
 #include "storage/disk_image.h"
 
+namespace {
+
+int Usage() {
+  std::fprintf(stderr,
+               "usage: dbfa_detect <image> <config.conf> <audit.log> "
+               "[--evidence=DIR] [--threads=N]\n");
+  return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace dbfa;
-  if (argc < 4) {
-    std::fprintf(stderr,
-                 "usage: dbfa_detect <image> <config.conf> <audit.log> "
-                 "[--evidence=DIR] [--threads=N]\n");
-    return 2;
-  }
+  if (argc < 4) return Usage();
   std::string evidence_dir;
-  bool parallel = false;
   CarveOptions options;
+  options.num_threads = 1;
   for (int i = 4; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--evidence=", 0) == 0) evidence_dir = arg.substr(11);
     if (arg.rfind("--threads=", 0) == 0) {
-      options.num_threads = std::strtoull(arg.c_str() + 10, nullptr, 10);
-      parallel = options.num_threads != 1;
+      uint64_t v = 0;
+      if (!ParseU64(arg.c_str() + 10, &v)) return Usage();
+      options.num_threads = static_cast<size_t>(v);
     }
   }
   auto config = LoadConfig(argv[2]);
@@ -51,9 +58,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "log: %s\n", log.status().ToString().c_str());
     return 1;
   }
-  Result<CarveResult> carve =
-      parallel ? ParallelCarver(*config, options).Carve(*image)
-               : Carver(*config, options).Carve(*image);
+  Result<CarveResult> carve = ParallelCarver(*config, options).Carve(*image);
   if (!carve.ok()) {
     std::fprintf(stderr, "carve: %s\n", carve.status().ToString().c_str());
     return 1;

@@ -15,7 +15,6 @@
 //
 // Exit codes: 0 clean, 1 fatal error, 2 usage, 3 oracle violations.
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 
@@ -59,11 +58,12 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
+    uint64_t v = 0;
     if (arg.rfind("--seed=", 0) == 0) {
-      options.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+      if (!ParseU64(arg.c_str() + 7, &options.seed)) return Usage();
     } else if (arg.rfind("--mutants=", 0) == 0) {
-      options.mutants_per_dialect =
-          std::strtoull(arg.c_str() + 10, nullptr, 10);
+      if (!ParseU64(arg.c_str() + 10, &v)) return Usage();
+      options.mutants_per_dialect = static_cast<size_t>(v);
     } else if (arg.rfind("--dialects=", 0) == 0) {
       for (const std::string& d : Split(arg.substr(11), ',')) {
         std::string t(Trim(d));
@@ -74,7 +74,10 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--scratch=", 0) == 0) {
       options.scratch_dir = arg.substr(10);
     } else if (arg.rfind("--time-budget=", 0) == 0) {
-      options.time_budget_seconds = std::strtod(arg.c_str() + 14, nullptr);
+      if (!ParseDouble(arg.c_str() + 14, &options.time_budget_seconds) ||
+          options.time_budget_seconds < 0.0) {
+        return Usage();
+      }
     } else if (arg.rfind("--replay=", 0) == 0) {
       replay_dir = arg.substr(9);
     } else if (arg.rfind("--make-corpus=", 0) == 0) {

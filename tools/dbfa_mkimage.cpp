@@ -5,27 +5,33 @@
 //
 //   dbfa_mkimage <dialect> <out.img> [<out.log>] [--seed=N]
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "common/strings.h"
 #include "engine/database.h"
 #include "storage/disk_image.h"
 #include "workload/synthetic.h"
 
+namespace {
+
+int Usage() {
+  std::fprintf(stderr,
+               "usage: dbfa_mkimage <dialect> <out.img> [<out.log>] "
+               "[--seed=N]\n");
+  return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace dbfa;
-  if (argc < 3) {
-    std::fprintf(stderr,
-                 "usage: dbfa_mkimage <dialect> <out.img> [<out.log>] "
-                 "[--seed=N]\n");
-    return 2;
-  }
+  if (argc < 3) return Usage();
   uint64_t seed = 42;
   std::string log_path;
   for (int i = 3; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--seed=", 0) == 0) {
-      seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+      if (!ParseU64(arg.c_str() + 7, &seed)) return Usage();
     } else {
       log_path = arg;
     }

@@ -25,7 +25,6 @@
 // corrupted rows).
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -57,13 +56,6 @@ int Usage() {
       "       dbfa_reenact validate-log <config.conf> <audit.log> <image>\n"
       "       dbfa_reenact simulate     <clean|tamper|backdate> <out-dir>\n");
   return 2;
-}
-
-bool ParseU64Arg(const char* s, uint64_t* out) {
-  if (s == nullptr || *s == '\0') return false;
-  char* end = nullptr;
-  *out = std::strtoull(s, &end, 10);
-  return end != nullptr && *end == '\0';
 }
 
 struct LoadedCase {
@@ -233,10 +225,10 @@ int main(int argc, char** argv) {
       std::string arg = argv[i];
       uint64_t v = 0;
       if (arg.rfind("--upto=", 0) == 0) {
-        if (!ParseU64Arg(arg.c_str() + 7, &v)) return Usage();
+        if (!ParseU64(arg.c_str() + 7, &v)) return Usage();
         options.upto_seq = v;
       } else if (arg.rfind("--skip=", 0) == 0) {
-        if (!ParseU64Arg(arg.c_str() + 7, &v)) return Usage();
+        if (!ParseU64(arg.c_str() + 7, &v)) return Usage();
         options.skip_seqs.insert(v);
       } else if (arg == "--fingerprint") {
         fingerprint = true;

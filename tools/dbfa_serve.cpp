@@ -19,12 +19,12 @@
 // and the daemon's queue invariants; any violation exits 3 (the CI soak
 // gate). status pretty-prints the stats JSON of a previous run.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/file_io.h"
+#include "common/strings.h"
 #include "serve/audit_daemon.h"
 #include "workload/fleet.h"
 
@@ -41,20 +41,6 @@ int Usage() {
       "                           [--status] [--verify]\n"
       "       dbfa_serve status   <root>\n");
   return 2;
-}
-
-bool ParseU64Arg(const char* s, uint64_t* out) {
-  if (s == nullptr || *s == '\0') return false;
-  char* end = nullptr;
-  *out = std::strtoull(s, &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
-bool ParseDoubleArg(const char* s, double* out) {
-  if (s == nullptr || *s == '\0') return false;
-  char* end = nullptr;
-  *out = std::strtod(s, &end);
-  return end != nullptr && *end == '\0';
 }
 
 struct SimulateArgs {
@@ -221,34 +207,34 @@ int main(int argc, char** argv) {
     uint64_t v = 0;
     double d = 0.0;
     if (arg.rfind("--instances=", 0) == 0) {
-      if (!ParseU64Arg(arg.c_str() + 12, &v) || v == 0) return Usage();
+      if (!dbfa::ParseU64(arg.c_str() + 12, &v) || v == 0) return Usage();
       args.fleet.instances = static_cast<size_t>(v);
     } else if (arg.rfind("--ticks=", 0) == 0) {
-      if (!ParseU64Arg(arg.c_str() + 8, &v)) return Usage();
+      if (!dbfa::ParseU64(arg.c_str() + 8, &v)) return Usage();
       args.ticks = v;
     } else if (arg.rfind("--shards=", 0) == 0) {
-      if (!ParseU64Arg(arg.c_str() + 9, &v) || v == 0) return Usage();
+      if (!dbfa::ParseU64(arg.c_str() + 9, &v) || v == 0) return Usage();
       args.serve.shards = static_cast<size_t>(v);
     } else if (arg.rfind("--queue-capacity=", 0) == 0) {
-      if (!ParseU64Arg(arg.c_str() + 17, &v)) return Usage();
+      if (!dbfa::ParseU64(arg.c_str() + 17, &v)) return Usage();
       args.serve.queue_capacity = static_cast<size_t>(v);
     } else if (arg == "--block-on-full") {
       args.serve.block_on_full = true;
     } else if (arg.rfind("--attack-rate=", 0) == 0) {
-      if (!ParseDoubleArg(arg.c_str() + 14, &d) || d < 0.0 || d > 1.0) {
+      if (!dbfa::ParseDouble(arg.c_str() + 14, &d) || d < 0.0 || d > 1.0) {
         return Usage();
       }
       args.fleet.attack_rate = d;
     } else if (arg.rfind("--seed-rows=", 0) == 0) {
-      if (!ParseU64Arg(arg.c_str() + 12, &v)) return Usage();
+      if (!dbfa::ParseU64(arg.c_str() + 12, &v)) return Usage();
       args.fleet.seed_rows = static_cast<int>(v);
     } else if (arg.rfind("--ops-per-tick=", 0) == 0) {
-      if (!ParseU64Arg(arg.c_str() + 15, &v)) return Usage();
+      if (!dbfa::ParseU64(arg.c_str() + 15, &v)) return Usage();
       args.fleet.ops_per_tick = static_cast<int>(v);
     } else if (arg.rfind("--dialect=", 0) == 0) {
       args.fleet.dialect = arg.substr(10);
     } else if (arg.rfind("--seed=", 0) == 0) {
-      if (!ParseU64Arg(arg.c_str() + 7, &v)) return Usage();
+      if (!dbfa::ParseU64(arg.c_str() + 7, &v)) return Usage();
       args.fleet.seed = v;
     } else if (arg == "--status") {
       args.print_status = true;

@@ -15,9 +15,9 @@
 // stores' block checksums and manifest reachability, exiting 3 with a
 // per-corruption report when the repository is damaged.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "common/strings.h"
 #include "core/carver.h"
 #include "core/config_io.h"
 #include "engine/audit_log.h"
@@ -38,15 +38,6 @@ int Usage() {
       "<audit.log>\n"
       "       dbfa_snapshot fsck   <repo-dir>\n");
   return 2;
-}
-
-/// Strict numeric parse; strtoull's silent 0 on junk is unacceptable for
-/// snapshot ids.
-bool ParseU64Arg(const char* s, uint64_t* out) {
-  if (s == nullptr || *s == '\0') return false;
-  char* end = nullptr;
-  *out = std::strtoull(s, &end, 10);
-  return end != nullptr && *end == '\0';
 }
 
 }  // namespace
@@ -70,7 +61,7 @@ int main(int argc, char** argv) {
       std::string arg = argv[i];
       if (arg.rfind("--scan-step=", 0) == 0) {
         uint64_t v = 0;
-        if (!ParseU64Arg(arg.c_str() + 12, &v)) return Usage();
+        if (!ParseU64(arg.c_str() + 12, &v)) return Usage();
         options.scan_step = static_cast<size_t>(v);
       } else if (arg == "--parse-bad-checksum-pages") {
         options.parse_bad_checksum_pages = true;
@@ -96,7 +87,7 @@ int main(int argc, char** argv) {
       std::string arg = argv[i];
       if (arg.rfind("--threads=", 0) == 0) {
         uint64_t v = 0;
-        if (!ParseU64Arg(arg.c_str() + 10, &v)) return Usage();
+        if (!ParseU64(arg.c_str() + 10, &v)) return Usage();
         threads = static_cast<size_t>(v);
       } else {
         return Usage();
@@ -142,8 +133,8 @@ int main(int argc, char** argv) {
   if (command == "diff") {
     uint64_t base = 0;
     uint64_t target = 0;
-    if (argc != 5 || !ParseU64Arg(argv[3], &base) ||
-        !ParseU64Arg(argv[4], &target)) {
+    if (argc != 5 || !ParseU64(argv[3], &base) ||
+        !ParseU64(argv[4], &target)) {
       return Usage();
     }
     auto repo = SnapshotRepo::Open(dir);
@@ -163,8 +154,8 @@ int main(int argc, char** argv) {
   if (command == "detect") {
     uint64_t base = 0;
     uint64_t target = 0;
-    if (argc != 6 || !ParseU64Arg(argv[3], &base) ||
-        !ParseU64Arg(argv[4], &target)) {
+    if (argc != 6 || !ParseU64(argv[3], &base) ||
+        !ParseU64(argv[4], &target)) {
       return Usage();
     }
     auto repo = SnapshotRepo::Open(dir);
