@@ -22,16 +22,25 @@ std::string StrFormat(const char* fmt, ...) {
   return out;
 }
 
-bool ParseU64(std::string_view s, uint64_t* out) {
+namespace {
+
+// from_chars over all of `s`: no leading whitespace or '+', no trailing
+// junk, overflow rejected.
+template <typename T>
+bool ParseWhole(std::string_view s, T* out) {
   if (s.empty()) return false;
   auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
   return ec == std::errc() && ptr == s.data() + s.size();
 }
 
+}  // namespace
+
+bool ParseU64(std::string_view s, uint64_t* out) { return ParseWhole(s, out); }
+
+bool ParseI64(std::string_view s, int64_t* out) { return ParseWhole(s, out); }
+
 bool ParseDouble(std::string_view s, double* out) {
-  if (s.empty()) return false;
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
-  return ec == std::errc() && ptr == s.data() + s.size();
+  return ParseWhole(s, out);
 }
 
 std::vector<std::string> Split(std::string_view s, char sep) {

@@ -36,6 +36,10 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 /// and wrapped negatives would be wrong.
 bool ParseU64(std::string_view s, uint64_t* out);
 
+/// Strict signed decimal parse of all of `s`: an optional leading '-' then
+/// digits, nothing else; overflow rejected.
+bool ParseI64(std::string_view s, int64_t* out);
+
 /// Strict decimal floating-point parse of all of `s`, same rules.
 bool ParseDouble(std::string_view s, double* out);
 

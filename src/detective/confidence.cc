@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/strings.h"
-#include "sql/parser.h"
 
 namespace dbfa {
 
@@ -22,8 +21,8 @@ ConfidenceReport EstimateDetectionConfidence(const CarveResult& disk,
   size_t logged_mutations = 0;
   size_t vacuums = 0;
   for (const AuditEntry& e : log.entries()) {
-    auto stmt = sql::ParseStatement(e.sql);
-    if (!stmt.ok()) continue;
+    const sql::Statement* stmt = e.statement();
+    if (stmt == nullptr) continue;
     if (std::holds_alternative<sql::DeleteStmt>(*stmt) ||
         std::holds_alternative<sql::UpdateStmt>(*stmt)) {
       ++logged_mutations;

@@ -7,57 +7,15 @@
 
 #include "common/strings.h"
 #include "sql/bound_expr.h"
-#include "sql/parser.h"
 
 namespace dbfa {
 namespace {
 
-/// Logged statements bucketed per table.
-struct TableLog {
-  std::vector<const sql::DeleteStmt*> deletes;
-  std::vector<const sql::UpdateStmt*> updates;
-  std::vector<const sql::InsertStmt*> inserts;
-  bool dropped = false;
-  bool mentioned = false;  // any logged statement touches the table
-};
-
-std::string TableKeyOf(const std::string& name) { return ToLower(name); }
-
-/// Parses every log entry and buckets the modification statements per
-/// (lower-cased) table name. `statements` owns the parsed statements the
-/// bucket pointers reference.
-std::map<std::string, TableLog> BucketLogByTable(
-    const AuditLog& log, std::vector<sql::Statement>* statements) {
-  statements->reserve(log.entries().size());
-  for (const AuditEntry& entry : log.entries()) {
-    auto stmt = sql::ParseStatement(entry.sql);
-    if (!stmt.ok()) continue;  // unparseable entries cannot attribute
-    statements->push_back(std::move(stmt).value());
-  }
-  std::map<std::string, TableLog> per_table;
-  for (const sql::Statement& stmt : *statements) {
-    if (const auto* del = std::get_if<sql::DeleteStmt>(&stmt)) {
-      per_table[TableKeyOf(del->table)].deletes.push_back(del);
-      per_table[TableKeyOf(del->table)].mentioned = true;
-    } else if (const auto* up = std::get_if<sql::UpdateStmt>(&stmt)) {
-      per_table[TableKeyOf(up->table)].updates.push_back(up);
-      per_table[TableKeyOf(up->table)].mentioned = true;
-    } else if (const auto* ins = std::get_if<sql::InsertStmt>(&stmt)) {
-      per_table[TableKeyOf(ins->table)].inserts.push_back(ins);
-      per_table[TableKeyOf(ins->table)].mentioned = true;
-    } else if (const auto* drop = std::get_if<sql::DropTableStmt>(&stmt)) {
-      per_table[TableKeyOf(drop->table)].dropped = true;
-      per_table[TableKeyOf(drop->table)].mentioned = true;
-    }
-  }
-  return per_table;
-}
-
-/// A table's logged statements compiled against its carved schema: WHERE
-/// predicates bound to flat column indices, INSERT rows hashed, UPDATE
-/// post-images resolved to column indices. Built once per table object;
-/// the record sweep then never resolves a name or walks an unrelated
-/// statement.
+/// A table's indexed log compiled against its carved schema: WHERE
+/// predicates bound to flat column indices and UPDATE post-images resolved
+/// to column indices. Built once per table object per call (the INSERT
+/// rows are already hashed in the index); the record sweep then never
+/// resolves a name or walks an unrelated statement.
 struct BoundTableLog {
   bool dropped = false;
   bool delete_all = false;  // a logged DELETE/UPDATE without WHERE
@@ -65,16 +23,19 @@ struct BoundTableLog {
   // carved record (a name-resolving evaluator's per-row error) and are
   // dropped at compile time.
   std::vector<sql::BoundExprPtr> delete_preds;  // DELETE + UPDATE pre-image
-  // INSERT row lookup: hash of the record -> candidate rows.
-  std::unordered_map<size_t, std::vector<const Record*>> insert_rows;
+  // INSERT row lookup (the index's): hash of the record -> candidate rows.
+  const std::unordered_multimap<size_t, const Record*>* insert_rows;
   // UPDATE post-images with every SET column resolved.
   std::vector<std::vector<std::pair<size_t, const Value*>>> update_images;
 };
 
-BoundTableLog CompileTableLog(const TableLog& tlog,
+BoundTableLog CompileTableLog(const AuditLogIndex::TableLog* tlog,
                               const TableSchema& schema) {
+  static const AuditLogIndex::TableLog kUnlogged;
+  if (tlog == nullptr) tlog = &kUnlogged;
   BoundTableLog bound;
-  bound.dropped = tlog.dropped;
+  bound.dropped = tlog->dropped;
+  bound.insert_rows = &tlog->insert_rows;
   std::vector<std::string> columns;
   columns.reserve(schema.columns.size());
   for (const Column& c : schema.columns) columns.push_back(c.name);
@@ -89,17 +50,12 @@ BoundTableLog CompileTableLog(const TableLog& tlog,
     auto b = sql::BindExpr(*where, resolver);
     if (b.ok()) bound.delete_preds.push_back(std::move(b).value());
   };
-  for (const sql::DeleteStmt* del : tlog.deletes) compile_pred(del->where);
+  for (const sql::DeleteStmt* del : tlog->deletes) compile_pred(del->where);
   // The pre-image of a logged UPDATE is also a legitimate deleted record:
   // its values satisfy the UPDATE's predicate.
-  for (const sql::UpdateStmt* up : tlog.updates) compile_pred(up->where);
+  for (const sql::UpdateStmt* up : tlog->updates) compile_pred(up->where);
 
-  for (const sql::InsertStmt* ins : tlog.inserts) {
-    for (const Record& row : ins->rows) {
-      bound.insert_rows[HashRecord(row)].push_back(&row);
-    }
-  }
-  for (const sql::UpdateStmt* up : tlog.updates) {
+  for (const sql::UpdateStmt* up : tlog->updates) {
     if (up->assignments.empty()) continue;
     std::vector<std::pair<size_t, const Value*>> image;
     image.reserve(up->assignments.size());
@@ -156,28 +112,23 @@ std::string DetectiveReport::ToString() const {
   return out;
 }
 
-Result<std::vector<UnattributedModification>>
-DbDetective::FindUnattributedModifications(size_t* deleted_checked,
-                                           size_t* active_checked) const {
-  std::vector<sql::Statement> statements;
-  std::map<std::string, TableLog> per_table =
-      BucketLogByTable(*log_, &statements);
-
+std::vector<UnattributedModification> DbDetective::MatchModifications(
+    const CarveResult& disk, const AuditLogIndex& log,
+    size_t* deleted_checked, size_t* active_checked) {
   // Compile each carved table's logged statements once, keyed by the
   // record's object id so the sweep below does no string work at all.
   std::unordered_map<uint32_t, BoundTableLog> bound_logs;
-  for (const auto& [object_id, schema] : disk_->schemas) {
+  for (const auto& [object_id, schema] : disk.schemas) {
     bound_logs.emplace(object_id,
-                       CompileTableLog(per_table[TableKeyOf(schema.name)],
-                                       schema));
+                       CompileTableLog(log.Find(schema.name), schema));
   }
 
   std::vector<UnattributedModification> out;
   size_t deleted_count = 0;
   size_t active_count = 0;
-  for (const CarvedRecord& r : disk_->records) {
-    auto schema_it = disk_->schemas.find(r.object_id);
-    if (schema_it == disk_->schemas.end()) continue;
+  for (const CarvedRecord& r : disk.records) {
+    auto schema_it = disk.schemas.find(r.object_id);
+    if (schema_it == disk.schemas.end()) continue;
     const TableSchema& schema = schema_it->second;
     if (!r.typed || r.values.size() != schema.columns.size()) continue;
     const BoundTableLog& tlog = bound_logs.find(r.object_id)->second;
@@ -199,14 +150,9 @@ DbDetective::FindUnattributedModifications(size_t* deleted_checked,
     } else {
       ++active_count;
       bool attributed = false;
-      auto bucket = tlog.insert_rows.find(HashRecord(r.values));
-      if (bucket != tlog.insert_rows.end()) {
-        for (const Record* row : bucket->second) {
-          if (CompareRecords(*row, r.values) == 0) {
-            attributed = true;
-            break;
-          }
-        }
+      auto [row, end] = tlog.insert_rows->equal_range(HashRecord(r.values));
+      for (; row != end && !attributed; ++row) {
+        attributed = CompareRecords(*row->second, r.values) == 0;
       }
       // The post-image of a logged UPDATE: all SET values must be present.
       for (const auto& image : tlog.update_images) {
@@ -232,60 +178,37 @@ DbDetective::FindUnattributedModifications(size_t* deleted_checked,
   return out;
 }
 
-Result<std::vector<UnloggedAccess>> DbDetective::FindUnloggedReads() const {
+namespace {
+
+/// Read analysis (Section III-A): cached access patterns of tables no
+/// logged statement names.
+std::vector<UnloggedAccess> MatchReads(const CarveResult& disk,
+                                       const CarveResult& ram,
+                                       const AuditLogIndex& log) {
   std::vector<UnloggedAccess> out;
-  if (ram_ == nullptr) return out;
-
-  // Tables a logged statement touches (any statement kind).
-  std::set<std::string> mentioned;
-  for (const AuditEntry& entry : log_->entries()) {
-    auto stmt = sql::ParseStatement(entry.sql);
-    if (!stmt.ok()) continue;
-    if (const auto* sel = std::get_if<sql::SelectStmt>(&*stmt)) {
-      mentioned.insert(TableKeyOf(sel->from.table));
-      for (const sql::JoinClause& j : sel->joins) {
-        mentioned.insert(TableKeyOf(j.table.table));
-      }
-    } else if (const auto* del = std::get_if<sql::DeleteStmt>(&*stmt)) {
-      mentioned.insert(TableKeyOf(del->table));
-    } else if (const auto* up = std::get_if<sql::UpdateStmt>(&*stmt)) {
-      mentioned.insert(TableKeyOf(up->table));
-    } else if (const auto* ins = std::get_if<sql::InsertStmt>(&*stmt)) {
-      mentioned.insert(TableKeyOf(ins->table));
-    } else if (const auto* ct = std::get_if<sql::CreateTableStmt>(&*stmt)) {
-      mentioned.insert(TableKeyOf(ct->schema.name));
-    } else if (const auto* ci = std::get_if<sql::CreateIndexStmt>(&*stmt)) {
-      mentioned.insert(TableKeyOf(ci->table));
-    } else if (const auto* vac = std::get_if<sql::VacuumStmt>(&*stmt)) {
-      mentioned.insert(TableKeyOf(vac->table));
-    } else if (const auto* drop = std::get_if<sql::DropTableStmt>(&*stmt)) {
-      mentioned.insert(TableKeyOf(drop->table));
-    }
-  }
-
   // Cached pages per table object (from the RAM carve) and index-page
   // counts attributed to the owning table via carved index metadata.
   std::map<uint32_t, std::set<uint32_t>> cached_data;   // table obj -> pages
   std::map<uint32_t, size_t> cached_index;              // table obj -> count
-  for (const CarvedPage& p : ram_->pages) {
+  for (const CarvedPage& p : ram.pages) {
     if (p.type == PageType::kData) {
       cached_data[p.object_id].insert(p.page_id);
     } else if (p.type == PageType::kIndexLeaf ||
                p.type == PageType::kIndexInternal) {
-      auto meta = disk_->indexes.find(p.object_id);
-      if (meta != disk_->indexes.end()) {
+      auto meta = disk.indexes.find(p.object_id);
+      if (meta != disk.indexes.end()) {
         ++cached_index[meta->second.table_object_id];
       }
     }
   }
   // Total data pages per object on disk (for scan-coverage ratios).
   std::map<uint32_t, size_t> disk_pages;
-  for (const CarvedPage& p : disk_->pages) {
+  for (const CarvedPage& p : disk.pages) {
     if (p.type == PageType::kData) ++disk_pages[p.object_id];
   }
 
-  for (const auto& [object_id, schema] : disk_->schemas) {
-    if (disk_->dropped_objects.count(object_id) != 0) continue;
+  for (const auto& [object_id, schema] : disk.schemas) {
+    if (disk.dropped_objects.count(object_id) != 0) continue;
     auto data_it = cached_data.find(object_id);
     size_t data_count =
         data_it == cached_data.end() ? 0 : data_it->second.size();
@@ -293,7 +216,7 @@ Result<std::vector<UnloggedAccess>> DbDetective::FindUnloggedReads() const {
                              ? cached_index[object_id]
                              : 0;
     if (data_count == 0 && index_count == 0) continue;
-    if (mentioned.count(TableKeyOf(schema.name)) != 0) continue;
+    if (log.Find(schema.name) != nullptr) continue;  // the log names it
 
     // Classify the caching pattern.
     size_t longest_run = 0;
@@ -322,6 +245,20 @@ Result<std::vector<UnloggedAccess>> DbDetective::FindUnloggedReads() const {
   return out;
 }
 
+}  // namespace
+
+Result<std::vector<UnattributedModification>>
+DbDetective::FindUnattributedModifications(size_t* deleted_checked,
+                                           size_t* active_checked) const {
+  return MatchModifications(*disk_, AuditLogIndex(*log_), deleted_checked,
+                            active_checked);
+}
+
+Result<std::vector<UnloggedAccess>> DbDetective::FindUnloggedReads() const {
+  if (ram_ == nullptr) return std::vector<UnloggedAccess>();
+  return MatchReads(*disk_, *ram_, AuditLogIndex(*log_));
+}
+
 Result<std::unique_ptr<MetaQuerySession>> DbDetective::MakeMetaQuerySession(
     std::vector<std::string>* skipped) const {
   auto session = std::make_unique<MetaQuerySession>(options_.metaquery);
@@ -336,12 +273,13 @@ Result<std::unique_ptr<MetaQuerySession>> DbDetective::MakeMetaQuerySession(
 
 Result<DetectiveReport> DbDetective::Analyze() const {
   DetectiveReport report;
-  if (disk_ != nullptr) report.string_pool = disk_->string_pool;
-  DBFA_ASSIGN_OR_RETURN(
-      report.modifications,
-      FindUnattributedModifications(&report.deleted_records_checked,
-                                    &report.active_records_checked));
-  DBFA_ASSIGN_OR_RETURN(report.reads, FindUnloggedReads());
+  report.string_pool = disk_->string_pool;
+  // One index serves both analyses.
+  const AuditLogIndex index(*log_);
+  report.modifications =
+      MatchModifications(*disk_, index, &report.deleted_records_checked,
+                         &report.active_records_checked);
+  if (ram_ != nullptr) report.reads = MatchReads(*disk_, *ram_, index);
   return report;
 }
 

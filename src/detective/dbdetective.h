@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/artifacts.h"
+#include "detective/log_index.h"
 #include "engine/audit_log.h"
 #include "metaquery/session.h"
 #include "sql/statement.h"
@@ -90,18 +91,27 @@ class DbDetective {
               DetectiveOptions options = {})
       : disk_(disk), log_(log), ram_(ram), options_(options) {}
 
+  /// Both analyses over one AuditLogIndex of the log.
   Result<DetectiveReport> Analyze() const;
 
-  /// Modification analysis only (Figure 4). Every logged DELETE/UPDATE
-  /// predicate is bound to its table's carved schema once and logged
-  /// statements are bucketed per table object before the record sweep, so
-  /// matching never re-resolves column names per carved record.
+  /// Modification analysis only (Figure 4): MatchModifications over a
+  /// fresh index of the log.
   Result<std::vector<UnattributedModification>> FindUnattributedModifications(
       size_t* deleted_checked = nullptr,
       size_t* active_checked = nullptr) const;
 
   /// Read analysis only (requires a RAM carve).
   Result<std::vector<UnloggedAccess>> FindUnloggedReads() const;
+
+  /// Figure 4's check of `disk` against an indexed log. Every logged
+  /// DELETE/UPDATE predicate is bound to its table's carved schema once per
+  /// call, before the record sweep, so matching never re-resolves column
+  /// names per carved record; INSERT rows are looked up by their hash in
+  /// the index. Callers that match many carves against one growing log
+  /// (SnapshotRepo::DetectIncremental) keep the index between calls.
+  static std::vector<UnattributedModification> MatchModifications(
+      const CarveResult& disk, const AuditLogIndex& log,
+      size_t* deleted_checked = nullptr, size_t* active_checked = nullptr);
 
   /// Builds a meta-query session over the carves this detective was given:
   /// every schema-bearing disk table registers as "CarvDisk<Table>" and

@@ -1,11 +1,28 @@
 #include "engine/audit_log.h"
 
-#include <cstdlib>
+#include <limits>
 
 #include "common/file_io.h"
 #include "common/strings.h"
+#include "sql/parser.h"
 
 namespace dbfa {
+
+const sql::Statement* ParsedStatement::Get(const std::string& sql) const {
+  std::call_once(once_, [&] {
+    auto stmt = sql::ParseStatement(sql);
+    if (stmt.ok()) {
+      statement_ = std::make_unique<const sql::Statement>(
+          std::move(stmt).value());
+    }
+  });
+  return statement_.get();
+}
+
+void AuditLog::Push(AuditEntry entry) {
+  entry.parsed_ = std::make_shared<const ParsedStatement>();
+  entries_.push_back(std::move(entry));
+}
 
 bool AuditLog::Append(int64_t timestamp, std::string sql) {
   if (!enabled_) return false;
@@ -13,14 +30,14 @@ bool AuditLog::Append(int64_t timestamp, std::string sql) {
   entry.seq = next_seq_++;
   entry.timestamp = timestamp;
   entry.sql = std::move(sql);
-  entries_.push_back(std::move(entry));
+  Push(std::move(entry));
   return true;
 }
 
 AuditLog AuditLog::TailAfter(uint64_t seq) const {
   AuditLog tail;
   for (const AuditEntry& e : entries_) {
-    if (e.seq > seq) tail.entries_.push_back(e);
+    if (e.seq > seq) tail.entries_.push_back(e);  // shares e's handle
   }
   tail.next_seq_ = next_seq_;
   return tail;
@@ -39,21 +56,24 @@ std::string AuditLog::ToText() const {
 
 Result<AuditLog> AuditLog::FromText(const std::string& text) {
   AuditLog log;
+  size_t line_no = 0;
   for (const std::string& line : Split(text, '\n')) {
+    ++line_no;
     if (Trim(line).empty()) continue;
     size_t p1 = line.find('|');
     size_t p2 = p1 == std::string::npos ? std::string::npos
                                         : line.find('|', p1 + 1);
-    if (p2 == std::string::npos) {
-      return Status::Corruption("bad audit log line: " + line);
-    }
     AuditEntry e;
-    e.seq = std::strtoull(line.substr(0, p1).c_str(), nullptr, 10);
-    e.timestamp = std::strtoll(line.substr(p1 + 1, p2 - p1 - 1).c_str(),
-                               nullptr, 10);
+    std::string_view view(line);
+    if (p2 == std::string::npos || !ParseU64(view.substr(0, p1), &e.seq) ||
+        e.seq == std::numeric_limits<uint64_t>::max() ||
+        !ParseI64(view.substr(p1 + 1, p2 - p1 - 1), &e.timestamp)) {
+      return Status::Corruption(
+          StrFormat("bad audit log line %zu: ", line_no) + line);
+    }
     e.sql = line.substr(p2 + 1);
     log.next_seq_ = e.seq + 1;
-    log.entries_.push_back(std::move(e));
+    log.Push(std::move(e));
   }
   return log;
 }

@@ -5,7 +5,7 @@
 
 #include "common/strings.h"
 #include "reenact/recovery.h"
-#include "sql/parser.h"
+#include "sql/statement.h"
 
 namespace dbfa {
 
@@ -46,11 +46,15 @@ Result<LogValidationReport> LogValidator::Validate(
     uint64_t carved_row_id;
   };
   std::vector<MatchedInsert> matched;
-  for (const StatementOutcome& outcome : state.outcomes) {
+  // A replay without skips has one outcome per entry, in log order, so
+  // outcome i reads entry i's shared parse.
+  const std::vector<AuditEntry>& entries = log.entries();
+  for (size_t i = 0; i < state.outcomes.size() && i < entries.size(); ++i) {
+    const StatementOutcome& outcome = state.outcomes[i];
     if (!outcome.applied) continue;
-    auto stmt = sql::ParseStatement(outcome.sql);
-    if (!stmt.ok()) continue;
-    const auto* ins = std::get_if<sql::InsertStmt>(&*stmt);
+    const sql::Statement* stmt = entries[i].statement();
+    if (stmt == nullptr) continue;
+    const auto* ins = std::get_if<sql::InsertStmt>(stmt);
     if (ins == nullptr || ins->rows.size() != 1) continue;
     uint32_t object_id = disk.ObjectIdByName(ins->table);
     if (object_id == 0) continue;

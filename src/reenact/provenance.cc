@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "common/strings.h"
-#include "sql/parser.h"
+#include "sql/statement.h"
 
 namespace dbfa {
 namespace {
@@ -142,14 +142,13 @@ Result<ProvenanceReport> ProvenanceAnalyzer::Analyze(
     fp.seq = entry.seq;
     fp.timestamp = entry.timestamp;
     fp.sql = entry.sql;
-    auto stmt = sql::ParseStatement(entry.sql);
-    if (stmt.ok()) {
-      if (const auto* ins = std::get_if<sql::InsertStmt>(&*stmt)) {
+    if (const sql::Statement* stmt = entry.statement()) {
+      if (const auto* ins = std::get_if<sql::InsertStmt>(stmt)) {
         std::string key = ToLower(ins->table);
         for (const Record& row : ins->rows) {
           fp.writes.push_back({EffectKind::kInsert, key, row});
         }
-      } else if (const auto* del = std::get_if<sql::DeleteStmt>(&*stmt)) {
+      } else if (const auto* del = std::get_if<sql::DeleteStmt>(stmt)) {
         std::string key = ToLower(del->table);
         fp.reads.push_back(key);
         DBFA_ASSIGN_OR_RETURN(auto rows, MatchingRows(db, del->table,
@@ -157,7 +156,7 @@ Result<ProvenanceReport> ProvenanceAnalyzer::Analyze(
         for (Record& row : rows) {
           fp.writes.push_back({EffectKind::kDelete, key, std::move(row)});
         }
-      } else if (const auto* up = std::get_if<sql::UpdateStmt>(&*stmt)) {
+      } else if (const auto* up = std::get_if<sql::UpdateStmt>(stmt)) {
         std::string key = ToLower(up->table);
         fp.reads.push_back(key);
         DBFA_ASSIGN_OR_RETURN(auto rows, MatchingRows(db, up->table,
@@ -176,7 +175,7 @@ Result<ProvenanceReport> ProvenanceAnalyzer::Analyze(
           fp.writes.push_back({EffectKind::kUpdateAfter, key,
                                std::move(after)});
         }
-      } else if (const auto* sel = std::get_if<sql::SelectStmt>(&*stmt)) {
+      } else if (const auto* sel = std::get_if<sql::SelectStmt>(stmt)) {
         fp.reads.push_back(ToLower(sel->from.table));
         for (const sql::JoinClause& join : sel->joins) {
           fp.reads.push_back(ToLower(join.table.table));

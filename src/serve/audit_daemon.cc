@@ -231,25 +231,17 @@ Status AuditDaemon::ProcessCapture(Instance* inst, CaptureTask* task) {
     stats.artifacts_carved += ingest.artifacts_carved;
   }
 
-  std::vector<UnattributedModification> mods;
-  if (inst->last_ingested == 0) {
-    // First capture: full Figure-4 match over the assembled carve.
-    DBFA_ASSIGN_OR_RETURN(CarveResult carve,
-                          inst->repo->AssembleCarve(ingest.snapshot_id));
-    DbDetective detective(&carve, &task->log);
-    DBFA_ASSIGN_OR_RETURN(mods, detective.FindUnattributedModifications());
-  } else {
-    // Later captures: re-match only records on pages the delta touched.
-    DBFA_ASSIGN_OR_RETURN(
-        IncrementalDetection inc,
-        inst->repo->DetectIncremental(inst->last_ingested, ingest.snapshot_id,
-                                      task->log));
-    mods = std::move(inc.modifications);
-  }
+  // Re-match only records on pages the delta touched; the first capture
+  // (last_ingested 0) is a full Figure-4 match. Both go through the repo's
+  // log index, so an instance indexes each log entry once.
+  DBFA_ASSIGN_OR_RETURN(
+      IncrementalDetection inc,
+      inst->repo->DetectIncremental(inst->last_ingested, ingest.snapshot_id,
+                                    task->log));
   // Advance the incremental base only once every finding is on the feed:
   // after a failed emit the next capture re-matches this delta too.
   DBFA_RETURN_IF_ERROR(EmitFindings(inst, task->instance, ingest.snapshot_id,
-                                    mods, task->submitted));
+                                    inc.modifications, task->submitted));
   inst->last_ingested = ingest.snapshot_id;
   return Status::Ok();
 }

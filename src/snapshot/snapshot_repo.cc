@@ -921,20 +921,22 @@ Result<RecordHistory> SnapshotRepo::History(const std::string& table,
 }
 
 Result<IncrementalDetection> SnapshotRepo::DetectIncremental(
-    uint64_t base_id, uint64_t target_id, const AuditLog& log,
-    DetectiveOptions options) {
-  const Snapshot* base = FindSnapshot(base_id);
-  if (base == nullptr || FindSnapshot(target_id) == nullptr) {
+    uint64_t base_id, uint64_t target_id, const AuditLog& log) {
+  const Snapshot* base = base_id == 0 ? nullptr : FindSnapshot(base_id);
+  const Snapshot* target = FindSnapshot(target_id);
+  if ((base_id != 0 && base == nullptr) || target == nullptr) {
     return Status::NotFound("incremental detection: unknown snapshot id");
   }
   DBFA_ASSIGN_OR_RETURN(CarveResult carve, AssembleCarve(target_id));
 
+  // Base 0 has no pages, so every target page counts as changed.
   std::unordered_set<PageHash, PageHashHasher> base_hashes;
-  base_hashes.reserve(base->pages.size() * 2);
-  for (const PageStore::Stored* page : base->pages) {
-    base_hashes.insert(page->entry.hash);
+  if (base != nullptr) {
+    base_hashes.reserve(base->pages.size() * 2);
+    for (const PageStore::Stored* page : base->pages) {
+      base_hashes.insert(page->entry.hash);
+    }
   }
-  const Snapshot* target = FindSnapshot(target_id);
   std::vector<char> page_changed(carve.pages.size(), 0);
   IncrementalDetection out;
   out.base_id = base_id;
@@ -955,20 +957,11 @@ Result<IncrementalDetection> SnapshotRepo::DetectIncremental(
     }
   }
   carve.records = std::move(delta_records);
-  std::vector<CarvedIndexEntry> delta_entries;
-  for (CarvedIndexEntry& e : carve.index_entries) {
-    if (e.page_index < page_changed.size() && page_changed[e.page_index] != 0) {
-      delta_entries.push_back(std::move(e));
-    }
-  }
-  carve.index_entries = std::move(delta_entries);
   out.records_rematched = carve.records.size();
 
-  DbDetective detective(&carve, &log, nullptr, options);
-  DBFA_ASSIGN_OR_RETURN(
-      out.modifications,
-      detective.FindUnattributedModifications(&out.deleted_checked,
-                                              &out.active_checked));
+  log_index_.Update(log);
+  out.modifications = DbDetective::MatchModifications(
+      carve, log_index_, &out.deleted_checked, &out.active_checked);
   return out;
 }
 

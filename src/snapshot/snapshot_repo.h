@@ -202,11 +202,17 @@ class SnapshotRepo {
                                 const Record& values);
 
   /// Matches only records from pages changed/added since `base_id` against
-  /// the audit log (Figure 4's check, restricted to the delta).
+  /// the audit log (Figure 4's check, restricted to the delta). `base_id` 0
+  /// stands for the empty repository: every record of the target is
+  /// matched, exactly as DbDetective::FindUnattributedModifications would.
+  ///
+  /// The repository keeps one AuditLogIndex across calls: when `log`
+  /// extends the log of the previous call (its entries start with the same
+  /// shared handles) only the new entries are indexed, each parsed at most
+  /// once; any other log rebuilds the index.
   Result<IncrementalDetection> DetectIncremental(uint64_t base_id,
                                                  uint64_t target_id,
-                                                 const AuditLog& log,
-                                                 DetectiveOptions options = {});
+                                                 const AuditLog& log);
 
   /// Offline integrity check of a repository at `dir`: re-verifies every
   /// pages.bin block (framing CRC, then the entry's stored page CRC-32 and
@@ -271,6 +277,7 @@ class SnapshotRepo {
   std::unique_ptr<ArtifactCache> artifact_cache_;
   std::vector<Snapshot> snapshots_;  // ascending id
   std::unique_ptr<ThreadPool> pool_;
+  AuditLogIndex log_index_;  // DetectIncremental's, extended across calls
 };
 
 }  // namespace dbfa

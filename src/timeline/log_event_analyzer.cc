@@ -5,7 +5,7 @@
 #include <set>
 
 #include "common/strings.h"
-#include "sql/parser.h"
+#include "sql/statement.h"
 
 namespace dbfa {
 
@@ -86,9 +86,9 @@ Result<TimelineReport> LogEventAnalyzer::Analyze() const {
   };
   std::vector<MatchedInsert> matched;
   for (const AuditEntry& e : log_->entries()) {
-    auto stmt = sql::ParseStatement(e.sql);
-    if (!stmt.ok()) continue;
-    const auto* ins = std::get_if<sql::InsertStmt>(&*stmt);
+    const sql::Statement* stmt = e.statement();
+    if (stmt == nullptr) continue;
+    const auto* ins = std::get_if<sql::InsertStmt>(stmt);
     if (ins == nullptr || ins->rows.size() != 1) continue;
     uint32_t object_id = disk_->ObjectIdByName(ins->table);
     if (object_id == 0) continue;

@@ -5,6 +5,7 @@
 #include "core/carver.h"
 #include "detective/confidence.h"
 #include "detective/dbdetective.h"
+#include "detective/log_index.h"
 #include "oracles/detective_reference.h"
 #include "storage/dialects.h"
 #include "workload/synthetic.h"
@@ -395,6 +396,62 @@ TEST(DetectiveTest, PreboundMatcherMatchesReferenceImplementation) {
   for (size_t i = 0; i < fast->size(); ++i) {
     EXPECT_EQ((*fast)[i].ToString(), (*ref)[i].ToString()) << "finding " << i;
   }
+}
+
+TEST(AuditLogIndexTest, ExtendsOverSharedHandlesAndRebuildsOtherwise) {
+  AuditLog log;
+  log.Append(1, "CREATE TABLE T (Id INT NOT NULL, Name VARCHAR(8))");
+  log.Append(2, "INSERT INTO T VALUES (1, 'a'), (2, 'b')");
+  log.Append(3, "DELETE FROM T WHERE Id = 1");
+  log.Append(4, "SELECT * FROM S");
+  AuditLogIndex index(log);
+  EXPECT_EQ(index.size(), 4u);
+  const AuditLogIndex::TableLog* t = index.Find("t");
+  ASSERT_NE(t, nullptr);
+  ASSERT_EQ(t->deletes.size(), 1u);
+  EXPECT_EQ(t->insert_rows.size(), 2u);
+  EXPECT_FALSE(t->dropped);
+  const AuditLogIndex::TableLog* s = index.Find("s");  // read only
+  ASSERT_NE(s, nullptr);
+  EXPECT_TRUE(s->deletes.empty() && s->insert_rows.empty());
+  EXPECT_EQ(index.Find("U"), nullptr);
+  const sql::DeleteStmt* first_delete = t->deletes[0];
+  EXPECT_EQ(first_delete,
+            &std::get<sql::DeleteStmt>(*log.entries()[2].statement()));
+
+  // A copy that grew shares the indexed handles: only the tail is added.
+  AuditLog grown = log;
+  grown.Append(5, "DROP TABLE T");
+  index.Update(grown);
+  EXPECT_EQ(index.size(), 5u);
+  t = index.Find("T");
+  ASSERT_NE(t, nullptr);
+  EXPECT_TRUE(t->dropped);
+  ASSERT_EQ(t->deletes.size(), 1u);
+  EXPECT_EQ(t->deletes[0], first_delete);
+
+  // Same text, fresh handles: rebuilt over the reloaded statements.
+  auto reloaded = AuditLog::FromText(grown.ToText());
+  ASSERT_TRUE(reloaded.ok());
+  index.Update(*reloaded);
+  t = index.Find("T");
+  ASSERT_NE(t, nullptr);
+  ASSERT_EQ(t->deletes.size(), 1u);
+  EXPECT_NE(t->deletes[0], first_delete);
+  EXPECT_TRUE(t->dropped);
+
+  // A shorter log over the original handles: rebuilt, the DROP is gone.
+  index.Update(log);
+  EXPECT_EQ(index.size(), 4u);
+  t = index.Find("T");
+  ASSERT_NE(t, nullptr);
+  EXPECT_FALSE(t->dropped);
+  EXPECT_EQ(t->deletes[0], first_delete);
+
+  index.Update(AuditLog());
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_EQ(index.Find("T"), nullptr);
+  EXPECT_EQ(index.Find("S"), nullptr);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "carve_equivalence.h"
@@ -19,6 +20,8 @@
 #include "common/strings.h"
 #include "core/carver.h"
 #include "engine/database.h"
+#include "oracles/detective_reference.h"
+#include "snapshot/snapshot_codec.h"
 #include "storage/dialects.h"
 #include "storage/disk_image.h"
 
@@ -324,6 +327,139 @@ TEST(SnapshotRepoTest, DetectIncrementalFlagsOnlyDeltaRecords) {
             incremental->records_rematched);
 }
 
+/// DetectIncremental(base_id, target_id, log) must equal the test oracle
+/// run on the same delta: the target's records on pages whose content hash
+/// is not among the base capture's pages (base_id 0: every record). Same
+/// findings in the same order, same checked counts. Returns the findings.
+std::vector<std::string> ExpectDeltaMatchesOracle(
+    SnapshotRepo* repo, uint64_t base_id, uint64_t target_id,
+    const std::vector<Bytes>& captures, const AuditLog& log) {
+  SCOPED_TRACE(StrFormat("delta %llu -> %llu",
+                         static_cast<unsigned long long>(base_id),
+                         static_cast<unsigned long long>(target_id)));
+  const size_t page_size = repo->config().params.page_size;
+  auto page_hash = [&](uint64_t id, const CarvedPage& p) {
+    return HashBytes(
+        ByteView(captures[id - 1].data() + p.image_offset, page_size));
+  };
+  std::unordered_set<PageHash, PageHashHasher> base_hashes;
+  if (base_id != 0) {
+    auto base = repo->AssembleCarve(base_id);
+    EXPECT_TRUE(base.ok()) << base.status().ToString();
+    for (const CarvedPage& p : base->pages) {
+      base_hashes.insert(page_hash(base_id, p));
+    }
+  }
+  auto delta = repo->AssembleCarve(target_id);
+  EXPECT_TRUE(delta.ok()) << delta.status().ToString();
+  std::vector<CarvedRecord> records;
+  for (CarvedRecord& r : delta->records) {
+    if (base_hashes.count(page_hash(target_id, delta->pages[r.page_index])) ==
+        0) {
+      records.push_back(std::move(r));
+    }
+  }
+  delta->records = std::move(records);
+
+  size_t ref_deleted = 0, ref_active = 0;
+  auto ref = detective_internal::FindUnattributedModificationsReference(
+      *delta, log, &ref_deleted, &ref_active);
+  auto inc = repo->DetectIncremental(base_id, target_id, log);
+  EXPECT_TRUE(ref.ok()) << ref.status().ToString();
+  EXPECT_TRUE(inc.ok()) << inc.status().ToString();
+  if (!ref.ok() || !inc.ok()) return {};
+  EXPECT_EQ(inc->records_rematched, delta->records.size());
+  EXPECT_EQ(inc->deleted_checked, ref_deleted);
+  EXPECT_EQ(inc->active_checked, ref_active);
+  std::vector<std::string> got, want;
+  for (const auto& m : inc->modifications) got.push_back(m.ToString());
+  for (const auto& m : *ref) want.push_back(m.ToString());
+  EXPECT_EQ(got, want);
+  return got;
+}
+
+TEST(SnapshotRepoTest, IncrementalLogIndexMatchesOracleAsTheLogGrows) {
+  std::string dir = RepoDir("snap_log_index");
+  auto repo = SnapshotRepo::Create(dir, ConfigFor("postgres_like"));
+  ASSERT_TRUE(repo.ok()) << repo.status().ToString();
+  auto db = PopulatedDb("postgres_like", 80);
+  std::vector<Bytes> captures;
+  auto capture = [&]() {
+    captures.push_back(CaptureImage(db.get(), 90 + captures.size()));
+    auto ingest = (*repo)->Ingest(captures.back());
+    EXPECT_TRUE(ingest.ok()) << ingest.status().ToString();
+    return ingest.ok() ? ingest->snapshot_id : 0;
+  };
+  auto exec = [&](const std::string& sql, bool logged) {
+    db->audit_log().SetEnabled(logged);
+    EXPECT_TRUE(db->ExecuteSql(sql).ok()) << sql;
+    db->audit_log().SetEnabled(true);
+  };
+
+  // The first capture is a full match (base 0); every later one extends
+  // the indexed log: the database's own log only grows between captures.
+  const AuditLog& log = db->audit_log();
+  ExpectDeltaMatchesOracle(repo->get(), 0, capture(), captures, log);
+  AuditLog before_last_step;
+  const int kSteps = 6;
+  for (int step = 1; step <= kSteps; ++step) {
+    if (step == kSteps) before_last_step = log;  // shares every handle
+    exec(StrFormat("INSERT INTO Customer VALUES (%d, 'New%d', 'Town')",
+                   200 + step, step),
+         true);
+    exec(StrFormat("UPDATE Customer SET City = 'Moved%d' WHERE Id = %d", step,
+                   30 + step),
+         true);
+    exec(StrFormat("DELETE FROM Customer WHERE Id = %d", 50 + step), true);
+    if (step % 2 == 0) {  // unlogged tampering
+      exec(StrFormat("DELETE FROM Customer WHERE Id = %d", 60 + step), false);
+      exec(StrFormat("INSERT INTO Customer VALUES (%d, 'Ghost', 'X')",
+                     900 + step),
+           false);
+    }
+    uint64_t id = capture();
+    ExpectDeltaMatchesOracle(repo->get(), id - 1, id, captures, log);
+  }
+  const uint64_t last = captures.size();
+  std::vector<std::string> grown =
+      ExpectDeltaMatchesOracle(repo->get(), last - 1, last, captures, log);
+  EXPECT_FALSE(grown.empty());
+
+  // Logs that do not extend the indexed one rebuild the index.
+  // A reload of the same text: fresh handles, same findings.
+  auto reloaded = AuditLog::FromText(log.ToText());
+  ASSERT_TRUE(reloaded.ok());
+  EXPECT_EQ(ExpectDeltaMatchesOracle(repo->get(), last - 1, last, captures,
+                                     *reloaded),
+            grown);
+  // One entry replaced: the last logged DELETE now names another row, so
+  // the row it removed is unattributed.
+  std::string text = log.ToText();
+  const std::string last_delete =
+      StrFormat("DELETE FROM Customer WHERE Id = %d", 50 + kSteps);
+  ASSERT_NE(text.find(last_delete), std::string::npos);
+  text.replace(text.find(last_delete), last_delete.size(),
+               "DELETE FROM Customer WHERE Id = 7777");
+  auto replaced = AuditLog::FromText(text);
+  ASSERT_TRUE(replaced.ok());
+  EXPECT_EQ(ExpectDeltaMatchesOracle(repo->get(), last - 1, last, captures,
+                                     *replaced)
+                .size(),
+            grown.size() + 1);
+  // Back to the full log, then a shorter copy that shares its handles: the
+  // last step's logged statements are missing, so more is unattributed.
+  EXPECT_EQ(ExpectDeltaMatchesOracle(repo->get(), last - 1, last, captures,
+                                     log),
+            grown);
+  EXPECT_GT(ExpectDeltaMatchesOracle(repo->get(), last - 1, last, captures,
+                                     before_last_step)
+                .size(),
+            grown.size());
+  EXPECT_EQ(ExpectDeltaMatchesOracle(repo->get(), last - 1, last, captures,
+                                     log),
+            grown);
+}
+
 TEST(SnapshotRepoTest, RegisterSnapshotsEnablesCrossSnapshotQueries) {
   std::string dir = RepoDir("snap_query");
   auto repo = SnapshotRepo::Create(dir, ConfigFor("postgres_like"));
@@ -408,6 +544,15 @@ TEST(SnapshotRepoTest, IngestRejectsEmptyImageAndUnknownSnapshotIds) {
   EXPECT_FALSE((*repo)->Ingest(ByteView()).ok());
   EXPECT_TRUE((*repo)->AssembleCarve(1).status().code() == StatusCode::kNotFound);
   EXPECT_TRUE((*repo)->Diff(1, 2).status().code() == StatusCode::kNotFound);
+  // Base 0 is the empty repository, but the target must still exist.
+  AuditLog log;
+  EXPECT_TRUE((*repo)->DetectIncremental(0, 1, log).status().code() ==
+              StatusCode::kNotFound);
+  auto db = PopulatedDb("postgres_like", 5);
+  ASSERT_TRUE((*repo)->Ingest(CaptureImage(db.get(), 3)).ok());
+  EXPECT_TRUE((*repo)->DetectIncremental(2, 1, log).status().code() ==
+              StatusCode::kNotFound);
+  EXPECT_TRUE((*repo)->DetectIncremental(0, 1, log).ok());
 }
 
 TEST(SnapshotRepoTest, StepsPastThePageMatchSerialCarve) {

@@ -40,6 +40,10 @@ express, documented in docs/static_analysis.md:
                     tools/ or bench/ outside the file seam,
                     common/file_io.cc, which checks every open, read,
                     write, flush and close result.
+  log-reparse       no ParseStatement(<expr>.sql) in src/ or tools/ outside
+                    engine/audit_log.cc: an audit-log entry is parsed once,
+                    by its shared handle (AuditEntry::statement()), and a
+                    private parse loop re-parses the whole log per call.
 
 Suppression: append "// dbfa-lint: allow(<rule>): <why>" on the offending
 line or the line above it. File-level exemptions live in allowlist.txt
@@ -62,7 +66,8 @@ import re
 import sys
 
 RULES = ("raw-byte-read", "nodiscard-status", "unordered-iter",
-         "naked-rand-time", "hot-loop-string", "raw-sync", "raw-file-io")
+         "naked-rand-time", "hot-loop-string", "raw-sync", "raw-file-io",
+         "log-reparse")
 
 # Directories (relative to the repo root) whose output ordering is part of
 # the bit-identical determinism contract; unordered-iter fires only here.
@@ -411,6 +416,29 @@ def check_raw_file_io(relpath, code, comments, findings):
             "which checks every open, read, write, flush and close"))
 
 
+# ---- log-reparse ----------------------------------------------------------
+
+PARSE_STATEMENT_RE = re.compile(r"\bParseStatement\s*\(")
+SQL_MEMBER_RE = re.compile(r"(?:\.|->)\s*sql\s*$")
+
+
+def check_log_reparse(relpath, code, comments, findings):
+    if not relpath.startswith(("src/", "tools/")):
+        return
+    for m in PARSE_STATEMENT_RE.finditer(code):
+        close = balanced_span(code, m.end() - 1)
+        if not SQL_MEMBER_RE.search(code[m.end():close - 1]):
+            continue
+        ln = line_of(m.start(), code)
+        if allowed("log-reparse", ln, comments, code):
+            continue
+        findings.append(Finding(
+            relpath, ln, "log-reparse",
+            "ParseStatement over an entry's .sql re-parses the audit log; "
+            "read the entry's shared parse, AuditEntry::statement(), "
+            "which parses each entry once for every copy of the log"))
+
+
 CHECKS = {
     "raw-byte-read": check_raw_byte_read,
     "nodiscard-status": check_nodiscard_status,
@@ -419,6 +447,7 @@ CHECKS = {
     "hot-loop-string": check_hot_loop_string,
     "raw-sync": check_raw_sync,
     "raw-file-io": check_raw_file_io,
+    "log-reparse": check_log_reparse,
 }
 
 

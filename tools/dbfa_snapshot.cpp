@@ -11,7 +11,8 @@
 //
 // ingest dedupes the capture against every earlier snapshot and re-carves
 // only new/changed pages; detect re-matches only records from pages that
-// changed since <base-id> against the audit log; fsck re-verifies the
+// changed since <base-id> against the audit log (base 0: every record of
+// the target); fsck re-verifies the
 // stores' block checksums and manifest reachability, exiting 3 with a
 // per-corruption report when the repository is damaged.
 #include <cstdio>
