@@ -60,6 +60,9 @@ enum Rank : int {
   // -- meta-query session (src/metaquery/session.h) ----------------------
   // Lazy worker-pool creation; a pool may be constructed under it.
   kSessionPool = 50,
+  // Spill counters of the most recently finished query. Held alone, for a
+  // struct copy.
+  kSessionStats = 55,
 
   // -- common infrastructure ---------------------------------------------
   // ThreadPool task queue; taken by Submit/Wait/ParallelFor and by every

@@ -1,5 +1,7 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
+
 namespace dbfa {
 
 size_t ThreadPool::HardwareThreads() {
@@ -40,10 +42,38 @@ void ThreadPool::Wait() {
 
 void ThreadPool::ParallelFor(size_t n,
                              const std::function<void(size_t)>& body) {
-  for (size_t i = 0; i < n; ++i) {
-    Submit([&body, i] { body(i); });
+  OrderedFor(n, n, body, [](size_t) { return true; });
+}
+
+void ThreadPool::OrderedFor(size_t n, size_t window,
+                            const std::function<void(size_t)>& produce,
+                            const std::function<bool(size_t)>& consume) {
+  // Per-call completion flags, guarded by mu_. Only this call's tasks set
+  // them, so the waits below never depend on anyone else's work.
+  std::vector<char> done(n, 0);
+  size_t submitted = 0;
+  auto submit_until = [&](size_t end) {
+    for (; submitted < std::min(n, end); ++submitted) {
+      Submit([this, &produce, &done, i = submitted] {
+        produce(i);
+        MutexLock lock(&mu_);
+        done[i] = 1;
+        done_cv_.SignalAll();
+      });
+    }
+  };
+  auto await = [&](size_t i) {
+    MutexLock lock(&mu_);
+    while (!done[i]) done_cv_.Wait(&mu_);
+  };
+  submit_until(std::max<size_t>(window, 1));
+  size_t next = 0;
+  for (; next < n; ++next) {
+    await(next);
+    if (!consume(next)) break;
+    submit_until(next + 1 + std::max<size_t>(window, 1));
   }
-  Wait();
+  for (size_t i = next; i < submitted; ++i) await(i);
 }
 
 void ThreadPool::WorkerLoop() {

@@ -6,10 +6,12 @@
 // tasks and block until the wave drains. Tasks must not throw; the
 // library is no-exception style throughout.
 //
-// Concurrency contract: one orchestrating thread calls Submit/ParallelFor/
-// Wait; worker threads only execute tasks. Task completion is published
-// under the pool mutex, so anything a task wrote before finishing
-// happens-before Wait() returning in the orchestrator.
+// Concurrency contract: Submit and Wait belong to one orchestrating
+// thread; worker threads only execute tasks. ParallelFor and OrderedFor
+// wait only for the tasks they submitted themselves, so several threads
+// may call them on one pool at once without waiting on each other's work.
+// Task completion is published under the pool mutex, so anything a task
+// wrote before finishing happens-before the wait that observes it.
 #ifndef DBFA_COMMON_THREAD_POOL_H_
 #define DBFA_COMMON_THREAD_POOL_H_
 
@@ -42,8 +44,18 @@ class ThreadPool {
   /// Blocks until every submitted task has finished.
   void Wait();
 
-  /// Submits body(0) … body(n-1) and waits for all of them.
+  /// Submits body(0) … body(n-1) and waits for those n tasks only.
   void ParallelFor(size_t n, const std::function<void(size_t)>& body);
+
+  /// Pipelined ordered loop. produce(i) runs on the pool for every i in
+  /// [0, n), at most `window` indices ahead of the consumer; consume(i)
+  /// runs on the calling thread strictly in index order, each once
+  /// produce(i) has finished. When consume returns false nothing further
+  /// is submitted. Returns once every submitted produce call has finished;
+  /// like ParallelFor it waits for its own tasks only.
+  void OrderedFor(size_t n, size_t window,
+                  const std::function<void(size_t)>& produce,
+                  const std::function<bool(size_t)>& consume);
 
   /// std::thread::hardware_concurrency, never 0.
   static size_t HardwareThreads();
@@ -54,7 +66,7 @@ class ThreadPool {
   std::vector<std::thread> threads_;
   Mutex mu_{"thread_pool", lock_rank::kThreadPool};
   CondVar task_cv_;  // signals workers: task ready / stop
-  CondVar done_cv_;  // signals Wait(): queue drained
+  CondVar done_cv_;  // signals waiters: a task finished
   std::queue<std::function<void()>> queue_ DBFA_GUARDED_BY(mu_);
   // Queued + currently running tasks.
   size_t in_flight_ DBFA_GUARDED_BY(mu_) = 0;

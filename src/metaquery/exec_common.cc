@@ -77,17 +77,39 @@ Value Accumulator::Final(sql::AggFunc f) const {
 
 // ---- Join ----------------------------------------------------------------
 
-JoinTable BuildJoinTable(const std::vector<Record>& right_rows,
-                         size_t right_idx) {
-  JoinTable table;
-  table.reserve(right_rows.size());
-  for (size_t i = 0; i < right_rows.size(); ++i) {
-    const Record& r = right_rows[i];
-    if (right_idx >= r.size()) continue;
-    const Value& key = r[right_idx];
-    if (!key.is_null()) table[key].push_back(static_cast<uint32_t>(i));
+FlatJoinTable::FlatJoinTable(const std::vector<Record>& rows, size_t key_idx,
+                             ThreadPool* pool)
+    : rows_(&rows), key_idx_(key_idx) {
+  // At least two slots per row keeps chains short.
+  size_t slots = 2;
+  while (slots < 2 * rows.size()) slots <<= 1;
+  for (size_t s = slots; s > 1; s >>= 1) --shift_;
+  head_.assign(slots, kEnd);
+  next_.resize(rows.size());
+  hashes_.resize(rows.size());
+  auto hash_morsel = [&](size_t m) {
+    size_t end = std::min(rows.size(), (m + 1) * kMorselRows);
+    // dbfa:hot-loop-begin -- build-side key hashing, once per right row
+    for (size_t i = m * kMorselRows; i < end; ++i) {
+      const Record& r = rows[i];
+      if (key_idx < r.size()) hashes_[i] = r[key_idx].Hash();
+    }
+    // dbfa:hot-loop-end
+  };
+  size_t morsels = MorselCount(rows.size());
+  if (pool != nullptr && morsels > 1) {
+    pool->ParallelFor(morsels, hash_morsel);
+  } else {
+    for (size_t m = 0; m < morsels; ++m) hash_morsel(m);
   }
-  return table;
+  // Linking back to front leaves every chain in ascending row order.
+  for (size_t i = rows.size(); i-- > 0;) {
+    const Record& r = rows[i];
+    if (key_idx >= r.size() || r[key_idx].is_null()) continue;
+    uint32_t& head = head_[Slot(hashes_[i])];
+    next_[i] = head;
+    head = static_cast<uint32_t>(i);
+  }
 }
 
 Status ResolveJoinColumns(const FrameSet& frames, const FrameSet& right_frame,
@@ -228,6 +250,7 @@ Result<ProjectionPlan> PlanProjection(const sql::SelectStmt& stmt,
   return plan;
 }
 
+// dbfa:hot-loop-begin -- projection, once per output row
 Status ProjectRow(const ProjectionPlan& plan, const Record& row, Record* out) {
   out->clear();
   for (const sql::BoundExprPtr& e : plan.exprs) {
@@ -240,6 +263,7 @@ Status ProjectRow(const ProjectionPlan& plan, const Record& row, Record* out) {
   }
   return Status::Ok();
 }
+// dbfa:hot-loop-end
 
 // ---- ORDER BY / LIMIT ----------------------------------------------------
 

@@ -7,14 +7,15 @@
 #ifndef DBFA_METAQUERY_EXEC_COMMON_H_
 #define DBFA_METAQUERY_EXEC_COMMON_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "metaquery/relation.h"
 #include "metaquery/session.h"
 #include "sql/bound_expr.h"
@@ -64,14 +65,6 @@ struct Accumulator {
 
 // ---- Hash wrappers ------------------------------------------------------
 
-struct ValueHasher {
-  size_t operator()(const Value& v) const { return v.Hash(); }
-};
-struct ValueEq {
-  bool operator()(const Value& a, const Value& b) const {
-    return Value::Compare(a, b) == 0;
-  }
-};
 struct RecordHasher {
   size_t operator()(const Record& r) const { return HashRecord(r); }
 };
@@ -81,17 +74,64 @@ struct RecordEq {
   }
 };
 
+// ---- Morsels ------------------------------------------------------------
+
+/// Rows per morsel: the unit in which a materialized relation's scan, and
+/// the per-row stages behind it, run on the worker pool.
+inline constexpr size_t kMorselRows = 2048;
+
+/// Number of morsels covering `rows` rows.
+inline size_t MorselCount(size_t rows) {
+  return (rows + kMorselRows - 1) / kMorselRows;
+}
+
 // ---- Join ----------------------------------------------------------------
 
-/// Value-keyed buckets of right-row indices, in scan order, so equal keys
-/// probe by one hash + one equality check and preserve right scan order.
-using JoinTable =
-    std::unordered_map<Value, std::vector<uint32_t>, ValueHasher, ValueEq>;
+/// The join's build side: a chained hash table over the right relation's
+/// own rows, which are indexed in place and never copied. head[] holds the
+/// first row of each hash slot's chain and next[] links the rows of one
+/// chain in ascending row (right scan) order. Rows whose key is NULL, or
+/// that are too short to hold the key column, are left out.
+class FlatJoinTable {
+ public:
+  /// Indexes `rows` — which must outlive the table — on column `key_idx`.
+  /// Key hashes are computed per morsel on `pool` (inline when null).
+  FlatJoinTable(const std::vector<Record>& rows, size_t key_idx,
+                ThreadPool* pool);
 
-/// Builds the probe table over `right_rows` keyed by column `right_idx`.
-/// NULL keys and rows too short to hold the column are excluded.
-JoinTable BuildJoinTable(const std::vector<Record>& right_rows,
-                         size_t right_idx);
+  // dbfa:hot-loop-begin -- chain walk, once per probe
+  /// Calls fn(right_row) for every row whose key equals `key` under
+  /// Value::Compare, in right scan order, stopping at the first non-OK
+  /// status.
+  template <typename Fn>
+  Status ForEachMatch(const Value& key, Fn&& fn) const {
+    uint64_t h = key.Hash();
+    for (uint32_t i = head_[Slot(h)]; i != kEnd; i = next_[i]) {
+      if (hashes_[i] != h) continue;
+      const Record& row = (*rows_)[i];
+      if (Value::Compare(row[key_idx_], key) != 0) continue;
+      DBFA_RETURN_IF_ERROR(fn(row));
+    }
+    return Status::Ok();
+  }
+  // dbfa:hot-loop-end
+
+ private:
+  static constexpr uint32_t kEnd = UINT32_MAX;
+
+  // Fibonacci hashing: Value::Hash of an int is the int itself, so the
+  // slot takes the high bits of a multiplicative mix.
+  size_t Slot(uint64_t h) const {
+    return static_cast<size_t>((h * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+
+  const std::vector<Record>* rows_;
+  size_t key_idx_;
+  int shift_ = 64;
+  std::vector<uint32_t> head_;
+  std::vector<uint32_t> next_;
+  std::vector<uint64_t> hashes_;
+};
 
 /// Resolves which side of `join` belongs to the already-joined frames and
 /// which to the incoming right frame.
@@ -99,6 +139,7 @@ Status ResolveJoinColumns(const FrameSet& frames, const FrameSet& right_frame,
                           const sql::JoinClause& join, size_t* left_idx,
                           size_t* right_idx);
 
+// dbfa:hot-loop-begin -- join probe, once per left row
 /// Probes one left row against the table; for every surviving match calls
 /// emit(combined_record). When `fused_where` is non-null it is evaluated on
 /// a zero-copy left++right view before materializing the combined record.
@@ -106,31 +147,27 @@ Status ResolveJoinColumns(const FrameSet& frames, const FrameSet& right_frame,
 /// reference executor shares.
 template <typename Emit>
 Status ProbeJoinRow(const Record& left_row, size_t left_idx,
-                    const JoinTable& table,
-                    const std::vector<Record>& right_rows,
+                    const FlatJoinTable& table,
                     const sql::BoundExpr* fused_where, Emit&& emit) {
   if (left_idx >= left_row.size()) return Status::Ok();
   const Value& key = left_row[left_idx];
   if (key.is_null()) return Status::Ok();
-  auto it = table.find(key);
-  if (it == table.end()) return Status::Ok();
-  for (uint32_t ri : it->second) {
-    const Record& right_row = right_rows[ri];
+  return table.ForEachMatch(key, [&](const Record& right_row) -> Status {
     if (fused_where != nullptr) {
       DBFA_ASSIGN_OR_RETURN(
           bool pass,
           sql::EvalBoundPredicate(*fused_where,
                                   sql::JoinRowView{&left_row, &right_row}));
-      if (!pass) continue;
+      if (!pass) return Status::Ok();
     }
     Record combined;
     combined.reserve(left_row.size() + right_row.size());
     combined.insert(combined.end(), left_row.begin(), left_row.end());
     combined.insert(combined.end(), right_row.begin(), right_row.end());
-    DBFA_RETURN_IF_ERROR(emit(std::move(combined)));
-  }
-  return Status::Ok();
+    return emit(std::move(combined));
+  });
 }
+// dbfa:hot-loop-end
 
 // ---- Aggregation ---------------------------------------------------------
 

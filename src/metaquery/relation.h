@@ -23,6 +23,12 @@ class Relation {
   virtual const std::vector<std::string>& columns() const = 0;
   virtual Status Scan(
       const std::function<Status(const Record&)>& fn) const = 0;
+  /// The rows, when the relation holds them in memory: random access lets
+  /// the meta-query engine split the scan into morsels and index the rows
+  /// in place. Null for relations read at scan time, such as live tables.
+  virtual const std::vector<Record>* materialized_rows() const {
+    return nullptr;
+  }
 };
 
 /// Materialized relation.
@@ -40,7 +46,9 @@ class VectorRelation : public Relation {
     }
     return Status::Ok();
   }
-  const std::vector<Record>& rows() const { return rows_; }
+  const std::vector<Record>* materialized_rows() const override {
+    return &rows_;
+  }
 
  private:
   std::vector<std::string> columns_;

@@ -147,10 +147,17 @@ Result<QueryTable> MetaQuerySession::Query(const std::string& select_sql) {
 Result<QueryTable> MetaQuerySession::Execute(const sql::SelectStmt& stmt) {
   metaquery_internal::RelationResolver lookup =
       [this](const std::string& name) { return Lookup(name); };
-  last_spill_stats_ = {};
-  return metaquery_internal::ExecuteOutOfCore(stmt, lookup, options_,
-                                              PoolForQuery(),
-                                              &last_spill_stats_);
+  SpillStats stats;
+  Result<QueryTable> result = metaquery_internal::ExecuteOutOfCore(
+      stmt, lookup, options_, PoolForQuery(), &stats);
+  MutexLock lock(&stats_mu_);
+  last_spill_stats_ = stats;
+  return result;
+}
+
+SpillStats MetaQuerySession::last_spill_stats() const {
+  MutexLock lock(&stats_mu_);
+  return last_spill_stats_;
 }
 
 }  // namespace dbfa

@@ -10,9 +10,10 @@
 // run the full SSBM query suite for the anti-forensics evaluation.
 //
 // One streaming engine executes every query: column references bind to
-// flat indices at plan time, operators stream rows from the relations, and
-// any intermediate that outgrows the memory budget spills to disk
-// (docs/metaquery_engine.md, docs/spilling.md).
+// flat indices at plan time, the FROM scan and the per-row operators behind
+// it run as morsels on the session's worker pool, and any intermediate that
+// outgrows the memory budget spills to disk (docs/metaquery_engine.md,
+// docs/spilling.md).
 #ifndef DBFA_METAQUERY_SESSION_H_
 #define DBFA_METAQUERY_SESSION_H_
 
@@ -40,9 +41,11 @@ struct QueryTable {
 
 /// Execution knobs for MetaQuerySession.
 struct MetaQueryOptions {
-  /// Worker threads for spilled partitions (grace-join and aggregation
-  /// partitions run in parallel): 1 runs inline on the calling thread, 0
-  /// means hardware concurrency. Results are identical at every count.
+  /// Worker threads for every operator: scan morsels and the per-row
+  /// stages behind them (WHERE, join probes, projection), join build-side
+  /// hashing, and spilled grace-join and aggregation partitions. 1 runs
+  /// everything inline on the calling thread, 0 means hardware
+  /// concurrency. Results are identical at every count.
   size_t num_threads = 1;
   /// Bytes of rows each operator may hold in memory; the rest spills to
   /// checksummed temp files (docs/spilling.md). 0 (the default) means
@@ -55,6 +58,8 @@ struct MetaQueryOptions {
   std::string spill_dir;
 };
 
+/// Query and Execute may run on several threads at once; registration and
+/// set_options must not overlap a running query.
 class MetaQuerySession {
  public:
   explicit MetaQuerySession(MetaQueryOptions options = {});
@@ -86,19 +91,20 @@ class MetaQuerySession {
   /// Takes effect for subsequent queries; resizes the worker pool lazily.
   void set_options(const MetaQueryOptions& options);
 
-  /// Spill activity of the most recent Query/Execute call. All zeros when
-  /// the query ran fully in memory (always the case when
+  /// Spill activity of the most recently finished Query/Execute call. All
+  /// zeros when the query ran fully in memory (always the case when
   /// memory_budget_bytes == 0).
-  const SpillStats& last_spill_stats() const { return last_spill_stats_; }
+  SpillStats last_spill_stats() const;
 
  private:
   Result<std::shared_ptr<Relation>> Lookup(const std::string& name) const;
 
-  /// Worker pool for spilled partitions; nullptr when running inline.
+  /// Worker pool for the query's operators; nullptr when running inline.
   ThreadPool* PoolForQuery();
 
   MetaQueryOptions options_;
-  SpillStats last_spill_stats_;
+  mutable Mutex stats_mu_{"session/stats", lock_rank::kSessionStats};
+  SpillStats last_spill_stats_ DBFA_GUARDED_BY(stats_mu_);
   /// Guards the lazily created worker pool. Pool creation races when
   /// several threads issue this session's first parallel query; the
   /// ThreadPool itself is thread-safe once published.

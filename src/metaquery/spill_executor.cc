@@ -5,6 +5,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -114,25 +115,209 @@ struct KeyError {
   }
 };
 
-// ---- RowSource: replayable seq-ordered row streams -----------------------
+// ---- RowSource: replayable row streams ------------------------------------
 //
-// Operators hand rows downstream as a *source*: invoking one streams every
-// row, in order, into the callback together with its 0-based sequence
-// number. Sources are replayable — each invocation restarts from the first
-// row — which lets a consumer take an optimistic single-pass strategy and
-// fall back to a second, spill-partitioned pass only when the budget forces
-// it. Replays are deterministic: they re-scan a relation or re-read
-// finished spill runs, so both passes see identical rows and seqs.
+// An input without random access — a relation read at scan time, or a
+// partitioned join's merged output — is a *source*: invoking one streams
+// every row, in order, into the callback. Sources are replayable — each
+// invocation restarts from the first row — which lets a consumer take an
+// optimistic single-pass strategy and fall back to a second,
+// spill-partitioned pass only when the budget forces it. Replays are
+// deterministic: they re-scan a relation or re-read finished spill runs,
+// so both passes see identical rows.
 
-using RowFn = std::function<Status(uint64_t, const Record&)>;
+using RowFn = std::function<Status(const Record&)>;
 using RowSource = std::function<Status(const RowFn&)>;
 
-/// Runs `source` to completion, discarding its rows, and returns its error
+// ---- Morsel pipelines -----------------------------------------------------
+//
+// The per-row stages up to the first pipeline breaker — fast-path join
+// probes (with the fused WHERE), WHERE and projection — run as one pipeline
+// over a driving input. A materialized input splits into kMorselRows row
+// ranges that run on the pool; the sink (group fold, final collector or
+// spill scatter) consumes morsel outputs strictly in morsel order through a
+// bounded window, so it sees exactly the rows, in exactly the order, of a
+// serial run. An input without random access (a live table, a partitioned
+// join's merged output) is a single morsel, streamed straight into the
+// sink; so is every input when there is no pool.
+
+/// One per-row operator. Its stage is 1 + its position in the pipeline
+/// (stage 0 is the scan), and stage order is error precedence: the
+/// reference executor finishes each stage before the next starts, so an
+/// error of an earlier stage beats any later one, and within a stage the
+/// first failing row wins.
+struct PipeOp {
+  enum class Kind { kProbe, kFilter, kProject };
+  Kind kind;
+  const FlatJoinTable* table = nullptr;  // kProbe
+  size_t left_idx = 0;                   // kProbe
+  const sql::BoundExpr* expr = nullptr;  // kProbe (fused WHERE) or kFilter
+  const ProjectionPlan* plan = nullptr;  // kProject
+};
+
+struct Pipeline {
+  const std::vector<Record>* rows = nullptr;  // materialized: morsels
+  RowSource stream;                           // otherwise: one morsel
+  std::vector<PipeOp> ops;
+  // Optional, run on each parallel morsel's built rows: drops rows the
+  // sink would discard anyway, keeping the rest in order.
+  std::function<void(std::vector<Record>*)> prune;
+};
+
+/// The lowest-stage per-row error seen so far; within a stage, the first.
+struct StageError {
+  size_t stage = SIZE_MAX;
+  Status status;
+
+  bool has() const { return stage != SIZE_MAX; }
+  void Note(size_t s, Status st) {
+    if (s < stage) {
+      stage = s;
+      status = std::move(st);
+    }
+  }
+};
+
+/// Receives a pipeline's output rows with their seq in sink order. `owned`
+/// is non-null when the row is a temporary the pipeline built (a join or
+/// projection output) that the sink may move from.
+using RowSink =
+    std::function<Status(uint64_t seq, const Record& row, Record* owned)>;
+using EmitFn = std::function<Status(const Record& row, Record* owned)>;
+
+// dbfa:hot-loop-begin -- per-row stages (filter, probe, projection)
+/// Runs `row` through ops[i..]; survivors reach `emit`. A stage error is
+/// recorded in *err, after which that stage and every later one see no
+/// more rows — earlier stages keep running, since one of their errors
+/// would still take precedence. A non-OK return is an emit failure.
+Status PushRow(const std::vector<PipeOp>& ops, size_t i, const Record& row,
+               Record* owned, StageError* err, const EmitFn& emit) {
+  if (i + 1 >= err->stage) return Status::Ok();
+  if (i == ops.size()) return emit(row, owned);
+  const PipeOp& op = ops[i];
+  switch (op.kind) {
+    case PipeOp::Kind::kFilter: {
+      Result<bool> pass = sql::EvalBoundPredicate(*op.expr, row);
+      if (!pass.ok()) {
+        err->Note(i + 1, pass.status());
+        return Status::Ok();
+      }
+      return *pass ? PushRow(ops, i + 1, row, owned, err, emit)
+                   : Status::Ok();
+    }
+    case PipeOp::Kind::kProject: {
+      Record out;
+      Status s = ProjectRow(*op.plan, row, &out);
+      if (!s.ok()) {
+        err->Note(i + 1, std::move(s));
+        return Status::Ok();
+      }
+      return PushRow(ops, i + 1, out, &out, err, emit);
+    }
+    case PipeOp::Kind::kProbe: {
+      Status downstream;
+      Status s = ProbeJoinRow(row, op.left_idx, *op.table, op.expr,
+                              [&](Record combined) {
+                                downstream = PushRow(ops, i + 1, combined,
+                                                     &combined, err, emit);
+                                return downstream;
+                              });
+      if (!downstream.ok()) return downstream;
+      if (!s.ok()) err->Note(i + 1, std::move(s));
+      return Status::Ok();
+    }
+  }
+  return Status::Ok();
+}
+// dbfa:hot-loop-end
+
+/// Runs `pipe` to completion into `sink`. Returns a scan or sink error as
+/// soon as it happens, else the pipeline's first per-row error by stage,
+/// then seq — reported only once the input is drained, so a scan error
+/// keeps precedence over deferred row errors. Once any row has failed, the
+/// sink receives no further rows.
+Status RunPipeline(const Pipeline& pipe, ThreadPool* pool,
+                   const RowSink& sink) {
+  StageError err;
+  uint64_t seq = 0;
+  EmitFn to_sink = [&](const Record& row, Record* owned) {
+    return sink(seq++, row, owned);
+  };
+  if (pipe.rows == nullptr) {
+    DBFA_RETURN_IF_ERROR(pipe.stream([&](const Record& row) {
+      return PushRow(pipe.ops, 0, row, nullptr, &err, to_sink);
+    }));
+    return err.has() ? std::move(err.status) : Status::Ok();
+  }
+
+  const std::vector<Record>& rows = *pipe.rows;
+  const size_t morsels = MorselCount(rows.size());
+  if (pool == nullptr || morsels <= 1) {
+    // dbfa:hot-loop-begin -- inline morsels, once per scanned row
+    for (const Record& row : rows) {
+      DBFA_RETURN_IF_ERROR(PushRow(pipe.ops, 0, row, nullptr, &err, to_sink));
+    }
+    // dbfa:hot-loop-end
+    return err.has() ? std::move(err.status) : Status::Ok();
+  }
+
+  // Each morsel buffers its survivors — built rows by value, base rows by
+  // pointer — and its own first error; the window bounds how many morsel
+  // outputs exist at once.
+  struct MorselOut {
+    std::vector<Record> owned;
+    std::vector<const Record*> borrowed;
+    StageError err;
+  };
+  std::vector<MorselOut> outs(morsels);
+  Status sink_status;
+  pool->OrderedFor(
+      morsels, 2 * pool->thread_count(),
+      [&](size_t m) {
+        MorselOut& out = outs[m];
+        EmitFn collect = [&out](const Record& row, Record* owned) {
+          if (owned != nullptr) {
+            out.owned.push_back(std::move(*owned));
+          } else {
+            out.borrowed.push_back(&row);
+          }
+          return Status::Ok();
+        };
+        const size_t end = std::min(rows.size(), (m + 1) * kMorselRows);
+        // dbfa:hot-loop-begin -- one morsel on a worker, once per row
+        for (size_t r = m * kMorselRows; r < end; ++r) {
+          Status s = PushRow(pipe.ops, 0, rows[r], nullptr, &out.err, collect);
+          if (!s.ok()) return;  // unreachable: collect never fails
+        }
+        // dbfa:hot-loop-end
+        if (pipe.prune) pipe.prune(&out.owned);
+      },
+      [&](size_t m) {
+        MorselOut out = std::move(outs[m]);
+        if (!err.has()) {
+          for (Record& row : out.owned) {
+            sink_status = to_sink(row, &row);
+            if (!sink_status.ok()) return false;
+          }
+          for (const Record* row : out.borrowed) {
+            sink_status = to_sink(*row, nullptr);
+            if (!sink_status.ok()) return false;
+          }
+        }
+        if (out.err.has()) err.Note(out.err.stage, std::move(out.err.status));
+        return true;
+      });
+  DBFA_RETURN_IF_ERROR(sink_status);
+  return err.has() ? std::move(err.status) : Status::Ok();
+}
+
+/// Runs `pipe` to completion, discarding its rows, and returns its error
 /// if it has one, else `s` — an upstream error keeps the precedence it has
 /// when every stage input is materialized before the stage runs.
-Status DrainThen(const RowSource& source, Status s) {
-  DBFA_RETURN_IF_ERROR(
-      source([](uint64_t, const Record&) { return Status::Ok(); }));
+Status DrainThen(const Pipeline& pipe, ThreadPool* pool, Status s) {
+  DBFA_RETURN_IF_ERROR(RunPipeline(
+      pipe, pool,
+      [](uint64_t, const Record&, Record*) { return Status::Ok(); }));
   return s;
 }
 
@@ -444,7 +629,7 @@ Status JoinPartition(SpillContext* ctx, const SpillFile& left_file,
       right_rows.push_back(std::move(row));
     }
   }
-  JoinTable table = BuildJoinTable(right_rows, right_idx);
+  FlatJoinTable table(right_rows, right_idx, /*pool=*/nullptr);
   DBFA_ASSIGN_OR_RETURN(RunReader r,
                         RunReader::Open(left_file, /*tagged=*/true));
   Record row;
@@ -452,7 +637,7 @@ Status JoinPartition(SpillContext* ctx, const SpillFile& left_file,
   while (true) {
     DBFA_ASSIGN_OR_RETURN(bool more, r.Next(&seq, &row));
     if (!more) return Status::Ok();
-    Status s = ProbeJoinRow(row, left_idx, table, right_rows, fused_where,
+    Status s = ProbeJoinRow(row, left_idx, table, fused_where,
                             [out, seq](Record combined) {
                               return out->Add(seq, std::move(combined));
                             });
@@ -463,75 +648,53 @@ Status JoinPartition(SpillContext* ctx, const SpillFile& left_file,
   }
 }
 
-/// What a join hands downstream. Source() replays the joined rows in exact
-/// in-memory probe order, numbered 0..n-1 — the seq space the next
-/// operator builds on. On the fast path the right side's hash table stays
-/// in memory and every replay probes the left source as it streams, so
-/// joined rows are never buffered. On the partitioned path the seq-tagged
-/// partition outputs stay replayable (instead of being merged into yet
-/// another buffer), so a downstream aggregation reads the join result
-/// without an extra spill round trip.
+/// What a join hands downstream. On the fast path, `table` indexes the
+/// right side in memory and the join becomes a probe stage of the left
+/// side's pipeline, so joined rows are never buffered. On the partitioned
+/// path the seq-tagged partition outputs stay replayable, and Source()
+/// streams them in exact in-memory probe order — so a downstream
+/// aggregation reads the join result without an extra spill round trip.
 struct JoinOutput {
   sql::BoundExprPtr fused_where;
-  // Fast path: the probe plan.
-  RowSource left;
-  size_t left_idx = 0;
-  std::vector<Record> right_rows;
-  JoinTable table;
+  // Fast path. `right` keeps the indexed rows alive; a right side read at
+  // scan time (a live table) is collected into `scanned_right` first.
+  std::shared_ptr<const Relation> right;
+  std::vector<Record> scanned_right;
+  std::optional<FlatJoinTable> table;
   // Partitioned path.
-  bool partitioned = false;
   std::vector<TaggedBuffer> parts;
 
-  RowSource Source() {
-    if (partitioned) {
-      return [this](const RowFn& fn) {
-        uint64_t seq = 0;
-        return MergeTaggedBySeq(parts, [&](uint64_t, const Record& row) {
-          return fn(seq++, row);
-        });
-      };
-    }
-    // The first probe error is deferred until the left source drains, so a
-    // left-side error keeps precedence, and is then returned ahead of any
-    // downstream error.
+  RowSource Source() const {
     return [this](const RowFn& fn) {
-      Status probe_status;
-      uint64_t seq = 0;
-      // dbfa:hot-loop-begin -- fast-path join probe, once per left row
-      DBFA_RETURN_IF_ERROR(left([&](uint64_t, const Record& row) {
-        if (!probe_status.ok()) return Status::Ok();  // drain: left first
-        Status s = ProbeJoinRow(
-            row, left_idx, table, right_rows, fused_where.get(),
-            [&](Record combined) { return fn(seq++, combined); });
-        if (!s.ok()) probe_status = std::move(s);
-        return Status::Ok();
-      }));
-      // dbfa:hot-loop-end
-      return probe_status;
+      return MergeTaggedBySeq(
+          parts, [&fn](uint64_t, const Record& row) { return fn(row); });
     };
   }
 };
 
-/// The out-of-core join operator, fed by replayable sources. The right
-/// side collects in memory and, if it outgrows the budget, scatters into
-/// partition files as it streams — it is never buffered whole. If it fits,
-/// *out keeps its hash table and probes the left side lazily, whenever its
-/// source is replayed (the fast path, exactly the in-memory hash join).
-/// Otherwise the left side scatters to matching partitions, which join
-/// independently and leave seq-tagged outputs in *out.
+/// The out-of-core join operator. The right side is measured against the
+/// budget first. A materialized right relation is charged the estimated
+/// size of its rows — what holding them costs — but is indexed in place;
+/// a right side read at scan time collects in memory as it streams. If
+/// either outgrows the budget, the right rows scatter into partition
+/// files instead. If the right side fits, *out keeps its hash table and
+/// the caller appends a probe stage to the left pipeline (the fast path,
+/// exactly the in-memory hash join). Otherwise the left pipeline runs into
+/// matching partitions, which join independently and leave seq-tagged
+/// outputs in *out.
 ///
 /// Error ordering matches an executor that materializes the left (FROM)
 /// side before the right and probes last, as the reference does: a
 /// left-side error beats a right-side scan error, which beats a probe
 /// error. Since this operator consumes the right side first, a right-side
-/// failure still drains the left source to give a left-side error
-/// precedence, and probe errors defer until the left source finishes.
+/// failure still drains the left pipeline to give a left-side error
+/// precedence, and probe errors defer until the left side finishes.
 Status JoinOutOfCore(SpillContext* ctx, ThreadPool* pool,
-                     const RowSource& left, const RowSource& right,
-                     size_t left_idx, size_t right_idx,
-                     sql::BoundExprPtr fused_where, JoinOutput* out) {
+                     const Pipeline& left,
+                     std::shared_ptr<const Relation> right, size_t left_idx,
+                     size_t right_idx, sql::BoundExprPtr fused_where,
+                     JoinOutput* out) {
   out->fused_where = std::move(fused_where);
-  std::vector<Record> right_mem;
   size_t right_bytes = 0;
   std::vector<JoinPartFiles> parts;
   auto scatter_right = [&](const Record& row, size_t est) -> Status {
@@ -542,45 +705,60 @@ Status JoinOutOfCore(SpillContext* ctx, ThreadPool* pool,
     parts[p].right_bytes += est;
     return parts[p].right->AddRecord(row);
   };
-  Status right_status = right([&](uint64_t, const Record& row) -> Status {
-    size_t est = sql::EstimateRecordMemoryBytes(row);
-    right_bytes += est;
-    if (parts.empty()) {
-      right_mem.push_back(row);
-      if (right_bytes <= ctx->budget) return Status::Ok();
-      DBFA_ASSIGN_OR_RETURN(parts, MakeJoinParts(ctx, kJoinScatterFanout));
-      for (const Record& r : right_mem) {
-        DBFA_RETURN_IF_ERROR(
-            scatter_right(r, sql::EstimateRecordMemoryBytes(r)));
-      }
-      right_mem.clear();
-      right_mem.shrink_to_fit();
-      return Status::Ok();
+  const std::vector<Record>* right_rows = right->materialized_rows();
+  Status right_status = [&]() -> Status {
+    if (right_rows == nullptr) {
+      right_rows = &out->scanned_right;
+      std::vector<Record>& held = out->scanned_right;
+      return right->Scan([&](const Record& row) -> Status {
+        size_t est = sql::EstimateRecordMemoryBytes(row);
+        right_bytes += est;
+        if (!parts.empty()) return scatter_right(row, est);
+        held.push_back(row);
+        if (right_bytes <= ctx->budget) return Status::Ok();
+        DBFA_ASSIGN_OR_RETURN(parts, MakeJoinParts(ctx, kJoinScatterFanout));
+        for (const Record& r : held) {
+          DBFA_RETURN_IF_ERROR(
+              scatter_right(r, sql::EstimateRecordMemoryBytes(r)));
+        }
+        held.clear();
+        held.shrink_to_fit();
+        return Status::Ok();
+      });
     }
-    return scatter_right(row, est);
-  });
-  if (!right_status.ok()) return DrainThen(left, std::move(right_status));
+    if (ctx->budget == SIZE_MAX) return Status::Ok();  // always fits
+    for (const Record& row : *right_rows) {
+      right_bytes += sql::EstimateRecordMemoryBytes(row);
+      if (right_bytes > ctx->budget) break;
+    }
+    if (right_bytes <= ctx->budget) return Status::Ok();
+    DBFA_ASSIGN_OR_RETURN(parts, MakeJoinParts(ctx, kJoinScatterFanout));
+    for (const Record& row : *right_rows) {
+      DBFA_RETURN_IF_ERROR(
+          scatter_right(row, sql::EstimateRecordMemoryBytes(row)));
+    }
+    return Status::Ok();
+  }();
+  if (!right_status.ok()) {
+    return DrainThen(left, pool, std::move(right_status));
+  }
 
   if (parts.empty()) {
-    // Fast path: the right side fits; Source() probes left rows as they
-    // stream.
-    out->table = BuildJoinTable(right_mem, right_idx);
-    out->right_rows = std::move(right_mem);
-    out->left = left;
-    out->left_idx = left_idx;
+    out->right = std::move(right);
+    out->table.emplace(*right_rows, right_idx, pool);
     return Status::Ok();
   }
 
-  DBFA_RETURN_IF_ERROR(left([&](uint64_t seq, const Record& row) {
-    if (left_idx >= row.size() || row[left_idx].is_null()) {
-      return Status::Ok();
-    }
-    size_t p = PartOf(row[left_idx].Hash(), /*seed=*/0, parts.size());
-    return parts[p].left->AddTagged(seq, row);
-  }));
+  DBFA_RETURN_IF_ERROR(RunPipeline(
+      left, pool, [&](uint64_t seq, const Record& row, Record*) -> Status {
+        if (left_idx >= row.size() || row[left_idx].is_null()) {
+          return Status::Ok();
+        }
+        size_t p = PartOf(row[left_idx].Hash(), /*seed=*/0, parts.size());
+        return parts[p].left->AddTagged(seq, row);
+      }));
   DBFA_RETURN_IF_ERROR(FlushJoinParts(&parts));
 
-  out->partitioned = true;
   out->parts.reserve(parts.size());
   for (size_t p = 0; p < parts.size(); ++p) out->parts.emplace_back(ctx);
   std::vector<SeqError> errs(parts.size());
@@ -770,7 +948,7 @@ Status AggregatePartition(SpillContext* ctx, const SpillFile& file,
 /// `input_bytes` sizes the fan-out.
 Status AggregatePartitioned(SpillContext* ctx, ThreadPool* pool,
                             const sql::SelectStmt& stmt, const AggPlan& plan,
-                            const RowSource& rows, size_t input_bytes,
+                            const Pipeline& rows, size_t input_bytes,
                             GroupRows* out) {
   size_t fanout = Fanout(input_bytes, ctx->budget);
   std::vector<RunWriter> writers;
@@ -781,7 +959,9 @@ Status AggregatePartitioned(SpillContext* ctx, ThreadPool* pool,
     writers.push_back(std::move(w));
   }
   SeqError key_err;
-  DBFA_RETURN_IF_ERROR(rows([&](uint64_t seq, const Record& row) {
+  DBFA_RETURN_IF_ERROR(RunPipeline(rows, pool, [&](uint64_t seq,
+                                                   const Record& row,
+                                                   Record*) -> Status {
     Record key;
     Status s = MakeGroupKey(stmt, plan, row, &key);
     if (!s.ok()) {
@@ -823,22 +1003,24 @@ Status AggregatePartitioned(SpillContext* ctx, ThreadPool* pool,
 
 Status AggregateOutOfCore(SpillContext* ctx, ThreadPool* pool,
                           const sql::SelectStmt& stmt, const AggPlan& plan,
-                          const RowSource& rows,
+                          const Pipeline& rows,
                           const std::function<Status(Record&&)>& emit) {
   // Pass 1 (optimistic): fold the whole input into one group table. The
-  // input streams through without ever being buffered; only the group
-  // table counts against the budget. Rows fold in seq order, so the first
-  // failing row is the query's error — reported once the source drains, so
-  // upstream errors keep precedence. If the table outgrows the budget
-  // first, it is dropped and pass 2 replays the source through key-hashed
-  // partitions.
+  // pipeline delivers rows in seq order and never buffers more than its
+  // in-flight morsels; only the group table counts against the budget.
+  // Rows fold in seq order, so the first failing row is the query's error —
+  // reported once the pipeline drains, so upstream errors keep precedence.
+  // If the table outgrows the budget first, it is dropped and pass 2
+  // replays the pipeline through key-hashed partitions.
   GroupTable groups;
   size_t est = 0;
   size_t input_bytes = 0;  // total estimated input size, for pass-2 fanout
   bool over_budget = false;
   SeqError row_err;
   // dbfa:hot-loop-begin -- pass-1 aggregation sweep, once per input row
-  DBFA_RETURN_IF_ERROR(rows([&](uint64_t seq, const Record& row) {
+  DBFA_RETURN_IF_ERROR(RunPipeline(rows, pool, [&](uint64_t seq,
+                                                   const Record& row,
+                                                   Record*) -> Status {
     input_bytes += sql::EstimateRecordMemoryBytes(row);
     if (over_budget || row_err.has) return Status::Ok();
     Status s = FoldRow(stmt, plan, row, &groups, &est);
@@ -875,15 +1057,18 @@ Status AggregateOutOfCore(SpillContext* ctx, ThreadPool* pool,
   return Status::Ok();
 }
 
-// ---- Final collection: ORDER BY (external merge sort) + LIMIT ------------
+// ---- Final collection: ORDER BY (top-k or external merge sort) + LIMIT ----
 //
 // Without ORDER BY, rows collect in arrival order (the final result is
-// budget-exempt) and LIMIT truncates. With ORDER BY, rows buffer up to the
-// budget, each full buffer stable-sorts into a consecutive run, and runs
-// merge with ties broken by run index — which is exactly std::stable_sort
-// over the whole input, the reference executor's sort. ORDER BY resolution
-// failures are deferred to Finish so row-level errors upstream surface
-// first, matching the reference executor's error ordering.
+// budget-exempt) up to the LIMIT. ORDER BY with LIMIT k keeps only the best
+// k rows ordered by (sort key, arrival order) — exactly the first k rows of
+// a stable sort. Being at most the final result, they are budget-exempt
+// and never spill. ORDER BY without LIMIT buffers rows up to the budget,
+// each full buffer stable-sorts into a consecutive run, and runs merge with
+// ties broken by run index — which is exactly std::stable_sort over the
+// whole input, the reference executor's sort. ORDER BY resolution failures
+// are deferred to Finish so row-level errors upstream surface first,
+// matching the reference executor's error ordering.
 
 class FinalCollector {
  public:
@@ -896,10 +1081,45 @@ class FinalCollector {
     }
   }
 
+  /// Reduces one morsel's rows, consecutive in arrival order, to those
+  /// that can still reach the top k: a row with k better rows (by sort
+  /// key, then arrival) beside it in its own morsel never will. Keeps the
+  /// survivors in order. Safe to call from several threads at once.
+  void PruneMorsel(std::vector<Record>* rows) const {
+    if (!sorting_ || stmt_.limit < 0 || !resolve_status_.ok()) return;
+    const size_t k = static_cast<size_t>(stmt_.limit);
+    if (rows->size() <= k) return;
+    std::vector<uint32_t> order(rows->size());
+    for (size_t i = 0; i < order.size(); ++i) {
+      order[i] = static_cast<uint32_t>(i);
+    }
+    std::nth_element(order.begin(), order.begin() + k, order.end(),
+                     [&](uint32_t a, uint32_t b) {
+                       const Record& ra = (*rows)[a];
+                       const Record& rb = (*rows)[b];
+                       if (OrderKeyLess(ra, rb, idx_, desc_)) return true;
+                       if (OrderKeyLess(rb, ra, idx_, desc_)) return false;
+                       return a < b;
+                     });
+    order.resize(k);
+    std::sort(order.begin(), order.end());
+    std::vector<Record> kept;
+    kept.reserve(k);
+    for (uint32_t i : order) kept.push_back(std::move((*rows)[i]));
+    *rows = std::move(kept);
+  }
+
   Status Add(Record row) {
     if (sorting_ && !resolve_status_.ok()) {
       return Status::Ok();  // query fails at Finish; don't buffer
     }
+    const bool limited = stmt_.limit >= 0;
+    const size_t limit = static_cast<size_t>(stmt_.limit);
+    if (sorting_ && limited) {
+      AddTopK(std::move(row), limit);
+      return Status::Ok();
+    }
+    if (limited && mem_.size() >= limit) return Status::Ok();
     mem_bytes_ += sql::EstimateRecordMemoryBytes(row);
     mem_.push_back(std::move(row));
     if (sorting_ && mem_bytes_ > ctx_->budget) return SpillSortedRun();
@@ -911,7 +1131,11 @@ class FinalCollector {
     out.columns = std::move(columns_);
     if (sorting_) {
       DBFA_RETURN_IF_ERROR(resolve_status_);
-      if (runs_.empty()) {
+      if (stmt_.limit >= 0) {
+        std::sort_heap(top_.begin(), top_.end(), TopKBefore(this));
+        out.rows.reserve(top_.size());
+        for (auto& [seq, row] : top_) out.rows.push_back(std::move(row));
+      } else if (runs_.empty()) {
         SortBuffer();
         out.rows = std::move(mem_);
       } else {
@@ -944,14 +1168,38 @@ class FinalCollector {
     } else {
       out.rows = std::move(mem_);
     }
-    if (stmt_.limit >= 0 &&
-        out.rows.size() > static_cast<size_t>(stmt_.limit)) {
-      out.rows.resize(static_cast<size_t>(stmt_.limit));
-    }
     return out;
   }
 
  private:
+  // Strict (sort key, arrival seq) order: the order of a stable sort.
+  struct TopKBefore {
+    explicit TopKBefore(const FinalCollector* collector) : fc(collector) {}
+    bool operator()(const std::pair<uint64_t, Record>& a,
+                    const std::pair<uint64_t, Record>& b) const {
+      if (OrderKeyLess(a.second, b.second, fc->idx_, fc->desc_)) return true;
+      if (OrderKeyLess(b.second, a.second, fc->idx_, fc->desc_)) return false;
+      return a.first < b.first;
+    }
+    const FinalCollector* fc;
+  };
+
+  /// Keeps the best `k` rows in a max-heap whose top is the worst kept
+  /// row. A newcomer arrives after every kept row, so it displaces the top
+  /// only when its sort key is strictly smaller.
+  void AddTopK(Record row, size_t k) {
+    const uint64_t seq = arrivals_++;
+    if (top_.size() < k) {
+      top_.emplace_back(seq, std::move(row));
+      std::push_heap(top_.begin(), top_.end(), TopKBefore(this));
+      return;
+    }
+    if (k == 0 || !OrderKeyLess(row, top_.front().second, idx_, desc_)) return;
+    std::pop_heap(top_.begin(), top_.end(), TopKBefore(this));
+    top_.back() = {seq, std::move(row)};
+    std::push_heap(top_.begin(), top_.end(), TopKBefore(this));
+  }
+
   void SortBuffer() {
     std::stable_sort(mem_.begin(), mem_.end(),
                      [this](const Record& a, const Record& b) {
@@ -1017,6 +1265,8 @@ class FinalCollector {
   std::vector<Record> mem_;
   size_t mem_bytes_ = 0;
   std::vector<RunWriter> runs_;  // sorted runs, in input-chunk order
+  std::vector<std::pair<uint64_t, Record>> top_;  // (arrival seq, row)
+  uint64_t arrivals_ = 0;
 };
 
 }  // namespace
@@ -1032,26 +1282,28 @@ Result<QueryTable> ExecuteOutOfCore(const sql::SelectStmt& stmt,
                       ? SIZE_MAX
                       : options.memory_budget_bytes;
   SpillContext ctx{&manager, budget, BlockTarget(budget)};
-  // Run the pipeline in a lambda so spill stats can be captured on every
-  // exit path before ~SpillManager removes the files.
-  // Stages are chained as replayable RowSources instead of materialized
-  // buffers: the FROM scan feeds the first join's scatter directly, each
-  // join's merged output feeds the next stage without an intermediate
-  // round trip through a spill file, and aggregation replays its source
-  // only when its optimistic single-pass table outgrows the budget.
-  // Downstream per-row errors (probe, WHERE, projection) are deferred
-  // until the upstream source finishes so that upstream errors keep the
-  // precedence they have in the reference executor, where every stage
-  // input is materialized before the stage runs.
+  // Run the query in a lambda so spill stats can be captured on every exit
+  // path before ~SpillManager removes the files.
+  // The FROM scan drives a morsel pipeline (RunPipeline): fast-path join
+  // probes, WHERE and projection are appended to it as per-row stages, and
+  // a pipeline breaker — a partitioned join's scatter, the group fold, the
+  // final collector — runs it into its sink. Nothing is materialized
+  // between stages unless an operator spills; aggregation replays the
+  // pipeline only when its optimistic single-pass table outgrows the
+  // budget. Per-row errors are deferred until the input drains, so
+  // upstream errors keep the precedence they have in the reference
+  // executor, where every stage input is materialized before the stage
+  // runs.
   auto result = [&]() -> Result<QueryTable> {
-    // ---- FROM: a replayable scan source ----------------------------
+    // ---- FROM: the pipeline's driving input --------------------------
     DBFA_ASSIGN_OR_RETURN(auto base, lookup(stmt.from.table));
     FrameSet frames;
     frames.Add(stmt.from.EffectiveName(), base->columns());
-    RowSource source = [&base](const RowFn& fn) {
-      uint64_t seq = 0;
-      return base->Scan([&](const Record& r) { return fn(seq++, r); });
-    };
+    Pipeline pipe;
+    pipe.rows = base->materialized_rows();
+    if (pipe.rows == nullptr) {
+      pipe.stream = [&base](const RowFn& fn) { return base->Scan(fn); };
+    }
 
     // ---- JOINs -----------------------------------------------------
     bool where_fused = false;
@@ -1078,59 +1330,47 @@ Result<QueryTable> ExecuteOutOfCore(const sql::SelectStmt& stmt,
         where_fused = true;
       }
 
-      RowSource right_src = [&right](const RowFn& fn) {
-        uint64_t seq = 0;
-        return right->Scan([&](const Record& r) { return fn(seq++, r); });
-      };
       auto out = std::make_unique<JoinOutput>();
-      DBFA_RETURN_IF_ERROR(JoinOutOfCore(&ctx, pool, source, right_src,
+      frames.Add(join.table.EffectiveName(), right->columns());
+      DBFA_RETURN_IF_ERROR(JoinOutOfCore(&ctx, pool, pipe, std::move(right),
                                          left_idx, right_idx,
                                          std::move(fused_where), out.get()));
-      source = out->Source();
+      if (out->table.has_value()) {
+        PipeOp probe{PipeOp::Kind::kProbe};
+        probe.table = &*out->table;
+        probe.left_idx = left_idx;
+        probe.expr = out->fused_where.get();
+        pipe.ops.push_back(probe);
+      } else {
+        Pipeline joined;
+        joined.stream = out->Source();
+        pipe = std::move(joined);
+      }
       join_outs.push_back(std::move(out));
-      frames.Add(join.table.EffectiveName(), right->columns());
     }
 
     // ---- WHERE -----------------------------------------------------
-    // A WHERE not fused into a join filters the scan as it streams; nothing
-    // is buffered. The filtered source renumbers surviving rows and, once
-    // its input is drained, fails with the first failing row's predicate
-    // error — so a scan error still wins, and a WHERE error beats every
-    // downstream row error, exactly as if the filter had run to completion
-    // first.
+    // A WHERE not fused into a join filters rows as a per-row stage;
+    // nothing is buffered.
     sql::BoundExprPtr where;
     if (stmt.where != nullptr && !where_fused) {
       DBFA_ASSIGN_OR_RETURN(
           where, sql::BindExpr(*stmt.where, [&frames](std::string_view name) {
             return frames.Resolve(name);
           }));
-      source = [scan = std::move(source), &where](const RowFn& fn) {
-        Status where_status;
-        uint64_t out = 0;
-        // dbfa:hot-loop-begin -- WHERE sweep, once per input row
-        DBFA_RETURN_IF_ERROR(scan([&](uint64_t, const Record& row) {
-          // After a WHERE error, drain: a later scan error still wins.
-          if (!where_status.ok()) return Status::Ok();
-          Result<bool> pass = sql::EvalBoundPredicate(*where, row);
-          if (!pass.ok()) {
-            where_status = pass.status();
-            return Status::Ok();
-          }
-          return pass.value() ? fn(out++, row) : Status::Ok();
-        }));
-        // dbfa:hot-loop-end
-        return where_status;
-      };
+      PipeOp filter{PipeOp::Kind::kFilter};
+      filter.expr = where.get();
+      pipe.ops.push_back(filter);
     }
 
     // ---- Aggregation -----------------------------------------------
     if (stmt.HasAggregates() || !stmt.group_by.empty()) {
       std::vector<std::string> columns;
       Result<AggPlan> plan = PlanAggregation(stmt, frames, &columns);
-      if (!plan.ok()) return DrainThen(source, plan.status());
+      if (!plan.ok()) return DrainThen(pipe, pool, plan.status());
       FinalCollector collector(&ctx, stmt, std::move(columns));
       DBFA_RETURN_IF_ERROR(AggregateOutOfCore(
-          &ctx, pool, stmt, *plan, source, [&collector](Record&& row) {
+          &ctx, pool, stmt, *plan, pipe, [&collector](Record&& row) {
             return collector.Add(std::move(row));
           }));
       return collector.Finish();
@@ -1139,22 +1379,18 @@ Result<QueryTable> ExecuteOutOfCore(const sql::SelectStmt& stmt,
     // ---- Projection ------------------------------------------------
     std::vector<std::string> columns;
     Result<ProjectionPlan> plan = PlanProjection(stmt, frames, &columns);
-    if (!plan.ok()) return DrainThen(source, plan.status());
+    if (!plan.ok()) return DrainThen(pipe, pool, plan.status());
+    PipeOp project{PipeOp::Kind::kProject};
+    project.plan = &*plan;
+    pipe.ops.push_back(project);
     FinalCollector collector(&ctx, stmt, std::move(columns));
-    SeqError proj_err;
-    // dbfa:hot-loop-begin -- projection, once per output row
-    DBFA_RETURN_IF_ERROR(source([&](uint64_t seq, const Record& row) {
-      if (proj_err.has) return Status::Ok();  // drain: upstream errors win
-      Record p;
-      Status s = ProjectRow(*plan, row, &p);
-      if (!s.ok()) {
-        proj_err.Note(seq, std::move(s));
-        return Status::Ok();
-      }
-      return collector.Add(std::move(p));
-    }));
-    // dbfa:hot-loop-end
-    if (proj_err.has) return std::move(proj_err.status);
+    pipe.prune = [&collector](std::vector<Record>* rows) {
+      collector.PruneMorsel(rows);
+    };
+    DBFA_RETURN_IF_ERROR(RunPipeline(
+        pipe, pool, [&collector](uint64_t, const Record& row, Record* owned) {
+          return collector.Add(owned != nullptr ? std::move(*owned) : row);
+        }));
     return collector.Finish();
   }();
   if (stats != nullptr) *stats = manager.stats();

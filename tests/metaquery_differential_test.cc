@@ -17,6 +17,7 @@
 
 #include "common/rng.h"
 #include "common/strings.h"
+#include "metaquery/exec_common.h"
 #include "metaquery/session.h"
 #include "oracles/reference_executor.h"
 #include "sql/parser.h"
@@ -259,6 +260,71 @@ TEST_F(MetaQueryDifferentialTest, BatchBoundaryExactMultiples) {
   RunDifferential(/*seed=*/505, /*t1_rows=*/128, /*t2_rows=*/64);
 }
 
+TEST_F(MetaQueryDifferentialTest, MorselBoundariesMatchReference) {
+  // T1 spans five morsels plus an uneven tail, so scans, filters, probes
+  // and projections run as several morsels on the pool and the sinks must
+  // stitch their outputs back together in scan order. T3 spans two
+  // morsels plus a tail; its keys repeat (about twice each, at random
+  // positions) and a third are stored as Compare-equal doubles, so
+  // build-side chains cross its morsel boundaries. Probe keys repeat
+  // across T1's morsels (g).
+  const size_t m = metaquery_internal::kMorselRows;
+  Rng rng(808);
+  RelationMap relations;
+  relations["t1"] = MakeT1(&rng, 5 * m + 7);
+  relations["t2"] = MakeT2(&rng, 24, 6);
+  relations["t3"] = MakeT2(&rng, 2 * m + 7, static_cast<int64_t>(m));
+  std::vector<std::string> queries = {
+      // No ORDER BY: output order is scan / probe order across morsels.
+      "SELECT id, d, s FROM T1 WHERE d > 3",
+      "SELECT * FROM T1",
+      "SELECT T1.id, T3.w FROM T1 JOIN T3 ON id = k",
+      "SELECT T1.id, T3.w, d FROM T1 JOIN T3 ON id = k WHERE d > 0 OR w > 5",
+      // Sequential double folds over rows from every morsel.
+      "SELECT s, COUNT(*) AS n, SUM(d) AS sd, AVG(d) AS mean FROM T1 "
+      "JOIN T3 ON id = k GROUP BY s",
+      "SELECT g, SUM(d) AS sd, MIN(d) AS lo FROM T1 WHERE s <> 'cat' "
+      "GROUP BY g",
+      "SELECT SUM(d) AS sd, AVG(d) AS mean FROM T1",
+      // Two fast-path probes in one pipeline.
+      "SELECT T2.w, COUNT(*) AS n, SUM(d) AS sd FROM T1 JOIN T3 ON "
+      "id = T3.k JOIN T2 ON g = T2.k WHERE T3.w < 7 GROUP BY T2.w",
+  };
+  for (int q = 0; q < 10; ++q) queries.push_back(RandomQuery(&rng));
+  ExpectEngineMatchesReference(queries, relations);
+}
+
+TEST_F(MetaQueryDifferentialTest, TopKMatchesReference) {
+  // ORDER BY ... LIMIT keeps only the best k rows by (sort key, arrival).
+  // d has heavy ties and NULLs, g five values and NULLs, so ties straddle
+  // the k-th row; LIMIT 0, 1, the row count and beyond it are the edges.
+  // At the smaller budgets a full sort of these rows spills runs.
+  const size_t m = metaquery_internal::kMorselRows;
+  const size_t rows = 3 * m + 7;
+  Rng rng(909);
+  RelationMap relations;
+  relations["t1"] = MakeT1(&rng, rows);
+  relations["t2"] = MakeT2(&rng, 30, 6);
+  ExpectEngineMatchesReference(
+      {
+          "SELECT id, d FROM T1 ORDER BY d DESC LIMIT 7",
+          "SELECT id, g, d FROM T1 ORDER BY g LIMIT 100",
+          "SELECT id, g FROM T1 ORDER BY g DESC LIMIT 1",
+          "SELECT id, d FROM T1 ORDER BY d LIMIT 0",
+          "SELECT id, d FROM T1 ORDER BY d LIMIT 1",
+          StrFormat("SELECT id, d, s FROM T1 ORDER BY s, d DESC LIMIT %zu",
+                    rows),
+          StrFormat("SELECT * FROM T1 ORDER BY d LIMIT %zu", rows + 50),
+          "SELECT id, g, d, s FROM T1 ORDER BY g DESC, d, s DESC LIMIT 50",
+          "SELECT id, d FROM T1 WHERE g IS NULL ORDER BY d DESC, id LIMIT 30",
+          "SELECT g, COUNT(*) AS n FROM T1 GROUP BY g ORDER BY n DESC LIMIT 2",
+          "SELECT T1.id, T2.w, d FROM T1 JOIN T2 ON g = k "
+          "ORDER BY T2.w DESC, d LIMIT 25",
+          "SELECT id, d FROM T1 LIMIT 9",
+      },
+      relations);
+}
+
 TEST_F(MetaQueryDifferentialTest, TenthStepDoubleSumsMatchSequentialFold) {
   // SUM/AVG over doubles in 0.1 steps are sensitive to summation order: any
   // engine that folds a group's rows in a different association (per-batch
@@ -296,6 +362,33 @@ TEST_F(MetaQueryDifferentialTest, ErrorsMatchReference) {
   RelationMap relations;
   relations["t1"] = MakeT1(&rng, 300);
   relations["t2"] = MakeT2(&rng, 60, 6);
+  // E spans five morsels plus a tail and F two, with one ill-typed cell per
+  // column placed so that a later stage fails in an early morsel while an
+  // earlier stage fails in a later one: a (projection / aggregate input)
+  // fails at row 3, c (WHERE) in the middle morsel, b (WHERE) in the last.
+  // Taking errors in completion order, or by seq across stages, breaks
+  // these. Every failing row has join partners in F (k < 2000).
+  const size_t m = metaquery_internal::kMorselRows;
+  const size_t e_rows = 5 * m + 7;
+  std::vector<Record> e;
+  for (size_t i = 0; i < e_rows; ++i) {
+    int64_t id = static_cast<int64_t>(i);
+    e.push_back({Value::Int(id),
+                 i == 3 ? Value::Str("a3") : Value::Int(id % 11),
+                 i == e_rows - 3 ? Value::Str("b") : Value::Int(id % 13),
+                 i == 2 * m + 5 ? Value::Int(7) : Value::Str("c"),
+                 Value::Int(id % 2500)});
+  }
+  relations["e"] = std::make_shared<VectorRelation>(
+      std::vector<std::string>{"id", "a", "b", "c", "k"}, std::move(e));
+  std::vector<Record> f;
+  for (size_t j = 0; j < 2 * m + 7; ++j) {
+    int64_t v = static_cast<int64_t>(j);
+    f.push_back({Value::Int(v % 2000),
+                 j == 5 ? Value::Str("fv") : Value::Int(v % 17)});
+  }
+  relations["f"] = std::make_shared<VectorRelation>(
+      std::vector<std::string>{"fk", "fv"}, std::move(f));
   for (const char* query : {
            "SELECT id FROM T1 WHERE s + 1 > 0",
            "SELECT g, COUNT(*) AS n FROM T1 WHERE s + 1 > 0 GROUP BY nope",
@@ -304,6 +397,20 @@ TEST_F(MetaQueryDifferentialTest, ErrorsMatchReference) {
            "SELECT id FROM T1 ORDER BY nosuch",
            "SELECT T1.id FROM T1 JOIN T2 ON zz = qq",
            "SELECT id FROM missing",
+           // Projection fails in morsel 0, WHERE in the last morsel.
+           "SELECT id, ABS(a) AS x FROM E WHERE b + 1 > 0",
+           // Two WHERE failures: the middle morsel's row comes first.
+           "SELECT id FROM E WHERE b + 1 > 0 AND LENGTH(c) > 0",
+           // Aggregate input fails at row 3, WHERE in the last morsel.
+           "SELECT k, SUM(a + 1) AS x FROM E WHERE b + 1 > 0 GROUP BY k",
+           // Fused WHERE (probe) fails in the last morsel, projection of a
+           // joined row from morsel 0 earlier.
+           "SELECT E.id, ABS(fv) AS x FROM E JOIN F ON k = fk "
+           "WHERE b + 1 > 0",
+           // Probe error in the middle morsel against an aggregate error in
+           // morsel 0.
+           "SELECT k, SUM(a + 1) AS x FROM E JOIN F ON k = fk "
+           "WHERE LENGTH(c) > 0 GROUP BY k",
        }) {
     auto expected = QueryReference(query, relations);
     ASSERT_FALSE(expected.ok()) << query;

@@ -1,8 +1,11 @@
 // Meta-query engine tests, including the two scenarios of Section II-C.
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "common/string_pool.h"
 #include "core/carver.h"
+#include "metaquery/exec_common.h"
 #include "metaquery/session.h"
 #include "storage/dialects.h"
 
@@ -275,6 +278,60 @@ TEST(MetaQueryTest, ToTextRendersNullsDoublesAndInternedStrings) {
   EXPECT_NE(text.find("| 2.5"), std::string::npos);
   EXPECT_NE(text.find("| owned"), std::string::npos);
   EXPECT_NE(text.find("| interned"), std::string::npos);
+}
+
+TEST(MetaQueryTest, ConcurrentQueriesOnOneSessionMatchSerialResults) {
+  // Two threads query one 4-thread session at once. Both queries run their
+  // morsels on the session's one pool, so each must wait for its own tasks
+  // only; each result must equal the one the query gets alone. Runs under
+  // the `sanitize` label, so the TSan job checks the shared pool and the
+  // session's spill counters too.
+  const size_t n = 5 * metaquery_internal::kMorselRows + 7;
+  std::vector<Record> sales;
+  std::vector<Record> products;
+  for (size_t i = 0; i < n; ++i) {
+    int64_t id = static_cast<int64_t>(i);
+    sales.push_back({Value::Int(id), Value::Int(id % 997),
+                     Value::Real(0.1 * static_cast<double>(id % 53))});
+    products.push_back({Value::Int(id % 997), Value::Int(id % 7)});
+  }
+  MetaQueryOptions options;
+  options.num_threads = 4;
+  MetaQuerySession session(options);
+  session.Register("S", std::make_shared<VectorRelation>(
+                            std::vector<std::string>{"id", "pid", "amt"},
+                            std::move(sales)));
+  session.Register("P", std::make_shared<VectorRelation>(
+                            std::vector<std::string>{"ppid", "cat"},
+                            std::move(products)));
+  const std::string queries[2] = {
+      "SELECT cat, COUNT(*) AS n, SUM(amt) AS total FROM S JOIN P ON "
+      "pid = ppid WHERE id > 100 GROUP BY cat ORDER BY cat",
+      "SELECT id, amt FROM S WHERE pid <> 5 ORDER BY amt DESC, id LIMIT 40",
+  };
+  QueryTable serial[2];
+  for (int q = 0; q < 2; ++q) {
+    auto result = session.Query(queries[q]);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    serial[q] = *std::move(result);
+  }
+  for (int round = 0; round < 4; ++round) {
+    Result<QueryTable> concurrent[2] = {Status::Internal("not run"),
+                                        Status::Internal("not run")};
+    std::thread other([&] { concurrent[1] = session.Query(queries[1]); });
+    concurrent[0] = session.Query(queries[0]);
+    other.join();
+    for (int q = 0; q < 2; ++q) {
+      ASSERT_TRUE(concurrent[q].ok()) << concurrent[q].status().ToString();
+      EXPECT_EQ(concurrent[q]->columns, serial[q].columns);
+      ASSERT_EQ(concurrent[q]->rows.size(), serial[q].rows.size());
+      for (size_t r = 0; r < serial[q].rows.size(); ++r) {
+        EXPECT_EQ(CompareRecords(concurrent[q]->rows[r], serial[q].rows[r]),
+                  0)
+            << "query " << q << " row " << r;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <functional>
+#include <future>
 #include <numeric>
 #include <vector>
 
@@ -130,6 +132,70 @@ TEST(ThreadPoolTest, SubmitDuringDestructorDrainStillRuns) {
     // No Wait(): destruction races the chains and must drain them all.
   }
   EXPECT_EQ(counter.load(), 4 * 25);
+}
+
+TEST(ThreadPoolTest, ParallelForWaitsForItsOwnTasksOnly) {
+  // Two callers share one pool. Call A's only task blocks until call B has
+  // returned, so a ParallelFor that waited for every task in the pool
+  // would make B wait for A's task, which waits for B. The wait is bounded
+  // so that such a deadlock fails the test instead of hanging it.
+  ThreadPool pool(4);
+  std::promise<void> a_running;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  auto a = std::async(std::launch::async, [&] {
+    pool.ParallelFor(1, [&](size_t) {
+      a_running.set_value();
+      released.wait();
+    });
+  });
+  a_running.get_future().wait();
+  std::atomic<int> b_tasks{0};
+  auto b = std::async(std::launch::async, [&] {
+    pool.ParallelFor(8, [&](size_t) { b_tasks.fetch_add(1); });
+  });
+  bool b_returned =
+      b.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  release.set_value();  // unblocks A either way, so a failure cannot hang
+  a.wait();
+  b.wait();
+  EXPECT_TRUE(b_returned) << "ParallelFor waited for another caller's task";
+  EXPECT_EQ(b_tasks.load(), 8);
+}
+
+TEST(ThreadPoolTest, OrderedForConsumesInIndexOrder) {
+  // Producers finish in any order; consume(i) still sees 0, 1, 2, ... and
+  // each producer's plain write is visible to it.
+  ThreadPool pool(4);
+  std::vector<int> produced(200, 0);
+  std::vector<size_t> consumed;
+  pool.OrderedFor(
+      produced.size(), 8,
+      [&](size_t i) { produced[i] = static_cast<int>(i) * 3; },
+      [&](size_t i) {
+        EXPECT_EQ(produced[i], static_cast<int>(i) * 3);
+        consumed.push_back(i);
+        return true;
+      });
+  ASSERT_EQ(consumed.size(), produced.size());
+  for (size_t i = 0; i < consumed.size(); ++i) EXPECT_EQ(consumed[i], i);
+}
+
+TEST(ThreadPoolTest, OrderedForStopsSubmittingWhenConsumerStops) {
+  // A consumer that stops at index 5 leaves at most `window` further
+  // producers submitted, and every submitted one has finished on return.
+  ThreadPool pool(2);
+  std::atomic<int> produced{0};
+  size_t consumed = 0;
+  pool.OrderedFor(
+      1000, 4, [&](size_t) { produced.fetch_add(1); },
+      [&](size_t i) {
+        ++consumed;
+        return i < 5;
+      });
+  EXPECT_EQ(consumed, 6u);
+  EXPECT_GE(produced.load(), 6);
+  EXPECT_LE(produced.load(), 6 + 4);
 }
 
 TEST(ThreadPoolTest, HardwareThreadsIsPositive) {
