@@ -97,7 +97,13 @@ Result<std::vector<HiddenRecord>> Steganographer::ExtractHidden(
     std::vector<ConstraintViolation> violations =
         FindViolations(carve, schema_it->second, r.values);
     if (!violations.empty()) {
-      out.push_back({r, std::move(violations)});
+      // The record outlives `carve` and its string pool, so its strings
+      // must own their bytes.
+      HiddenRecord hidden{r, std::move(violations)};
+      for (Value& v : hidden.record.values) {
+        if (v.is_interned()) v = Value::Str(std::string(v.as_string()));
+      }
+      out.push_back(std::move(hidden));
     }
   }
   return out;

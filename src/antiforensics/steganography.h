@@ -40,7 +40,8 @@ class Steganographer {
 
   /// Retrieval: carve the image and return every *active* record whose
   /// values violate the declared constraints of its reconstructed schema
-  /// (domain length, NULL PK components, unmatched foreign keys).
+  /// (domain length, NULL PK components, unmatched foreign keys). The
+  /// returned records own their string bytes.
   Result<std::vector<HiddenRecord>> ExtractHidden(ByteView image) const;
 
  private:

@@ -38,6 +38,7 @@ Result<std::shared_ptr<const PageArtifacts>> ArtifactCache::Get(
   if (!(stored_key == key)) {
     return Status::Corruption("artifact cache: entry key changed on disk");
   }
+  ++decodes_;
   it->second.decoded = std::move(artifacts);
   return it->second.decoded;
 }

@@ -41,6 +41,10 @@ class ArtifactCache {
     return index_.find(key) != index_.end();
   }
 
+  /// Entries read from the file and decoded since Open() — lazy first
+  /// accesses only; memoized hits and Put() do not count.
+  size_t decodes() const { return decodes_; }
+
   /// Returns the cached artifacts for `key`, or nullptr when absent.
   /// First access per key reads and verifies the block from disk; repeat
   /// accesses return the memoized decode.
@@ -61,6 +65,7 @@ class ArtifactCache {
 
   BlockFile file_;
   std::unordered_map<ArtifactKey, Slot, ArtifactKeyHasher> index_;
+  size_t decodes_ = 0;
 };
 
 }  // namespace dbfa

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <map>
+#include <numeric>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -762,17 +763,24 @@ Result<CarveResult> SnapshotRepo::AssembleCarve(uint64_t id) {
     return Status::NotFound(StrFormat(
         "snapshot %llu not in repository", static_cast<unsigned long long>(id)));
   }
+  std::vector<size_t> every_page(snap->pages.size());
+  std::iota(every_page.begin(), every_page.end(), size_t{0});
+  return Assemble(*snap, every_page);
+}
+
+Result<CarveResult> SnapshotRepo::Assemble(
+    const Snapshot& snap, const std::vector<size_t>& content_pages) {
   const PageLayoutParams& p = config_.params;
 
   auto page_list_start = std::chrono::steady_clock::now();
   CarveResult result;
   result.dialect = p.dialect;
-  result.image_size = snap->image_size;
-  result.stats.bytes_scanned = snap->image_size;
-  result.pages.reserve(snap->pages.size());
-  for (size_t i = 0; i < snap->pages.size(); ++i) {
-    CarvedPage meta = snap->pages[i]->entry.meta;
-    meta.image_offset = snap->offsets[i];
+  result.image_size = snap.image_size;
+  result.stats.bytes_scanned = snap.image_size;
+  result.pages.reserve(snap.pages.size());
+  for (size_t i = 0; i < snap.pages.size(); ++i) {
+    CarvedPage meta = snap.pages[i]->entry.meta;
+    meta.image_offset = snap.offsets[i];
     if (!meta.checksum_ok) ++result.stats.checksum_failures;
     result.pages.push_back(meta);
   }
@@ -793,7 +801,7 @@ Result<CarveResult> SnapshotRepo::AssembleCarve(uint64_t id) {
       continue;
     }
     Bytes page;
-    DBFA_RETURN_IF_ERROR(page_store_->ReadPage(*snap->pages[i], &page));
+    DBFA_RETURN_IF_ERROR(page_store_->ReadPage(*snap.pages[i], &page));
     tmp.pages[i].image_offset = compact.size();
     compact.append(AsStringView(ByteView(page)));
   }
@@ -804,40 +812,40 @@ Result<CarveResult> SnapshotRepo::AssembleCarve(uint64_t id) {
   result.dropped_objects = std::move(tmp.dropped_objects);
   result.stats.catalog_seconds = SecondsSince(catalog_start);
 
-  // Content from the artifact cache; a miss (a repository whose cache file
-  // was rebuilt or pruned) falls back to a single-page decode from the
-  // page store.
+  // Content of the requested pages from the artifact cache; a miss (a
+  // repository whose cache file was rebuilt or pruned) falls back to a
+  // single-page decode from the page store.
   auto content_start = std::chrono::steady_clock::now();
   ContextSet context_set = BuildContexts(result);
   CarveResult one;  // reusable single-page decode base
   one.dialect = result.dialect;
   one.schemas = result.schemas;
   one.pages.resize(1);
-  for (size_t i = 0; i < result.pages.size(); ++i) {
+  for (size_t i : content_pages) {
     PageHash context;
     if (!ContextFor(result, context_set, i, &context)) continue;
-    ArtifactKey key{snap->pages[i]->entry.hash, context};
+    ArtifactKey key{snap.pages[i]->entry.hash, context};
     DBFA_ASSIGN_OR_RETURN(std::shared_ptr<const PageArtifacts> cached,
                           artifact_cache_->Get(key));
-    PageArtifacts arts;
-    if (cached != nullptr) {
-      arts = *cached;
-    } else {
+    const PageArtifacts* arts = cached.get();
+    PageArtifacts decoded;
+    if (arts == nullptr) {
       Bytes page;
-      DBFA_RETURN_IF_ERROR(page_store_->ReadPage(*snap->pages[i], &page));
+      DBFA_RETURN_IF_ERROR(page_store_->ReadPage(*snap.pages[i], &page));
       one.pages[0] = result.pages[i];
       one.pages[0].image_offset = 0;
-      carver_.CarveContentRange(ByteView(page), one, 0, 1, &arts.records,
-                                &arts.index_entries);
-      DBFA_RETURN_IF_ERROR(artifact_cache_->Put(key, arts));
+      carver_.CarveContentRange(ByteView(page), one, 0, 1, &decoded.records,
+                                &decoded.index_entries);
+      DBFA_RETURN_IF_ERROR(artifact_cache_->Put(key, decoded));
+      arts = &decoded;
     }
-    for (CarvedRecord& r : arts.records) {
-      r.page_index = i;
-      result.records.push_back(std::move(r));
+    for (const CarvedRecord& r : arts->records) {
+      result.records.push_back(r);
+      result.records.back().page_index = i;
     }
-    for (CarvedIndexEntry& e : arts.index_entries) {
-      e.page_index = i;
-      result.index_entries.push_back(std::move(e));
+    for (const CarvedIndexEntry& e : arts->index_entries) {
+      result.index_entries.push_back(e);
+      result.index_entries.back().page_index = i;
     }
   }
   result.stats.content_seconds = SecondsSince(content_start);
@@ -927,8 +935,8 @@ Result<IncrementalDetection> SnapshotRepo::DetectIncremental(
   if ((base_id != 0 && base == nullptr) || target == nullptr) {
     return Status::NotFound("incremental detection: unknown snapshot id");
   }
-  DBFA_ASSIGN_OR_RETURN(CarveResult carve, AssembleCarve(target_id));
 
+  // The delta: target pages whose content is not among the base's pages.
   // Base 0 has no pages, so every target page counts as changed.
   std::unordered_set<PageHash, PageHashHasher> base_hashes;
   if (base != nullptr) {
@@ -937,26 +945,20 @@ Result<IncrementalDetection> SnapshotRepo::DetectIncremental(
       base_hashes.insert(page->entry.hash);
     }
   }
-  std::vector<char> page_changed(carve.pages.size(), 0);
-  IncrementalDetection out;
-  out.base_id = base_id;
-  out.target_id = target_id;
+  std::vector<size_t> changed;
   for (size_t i = 0; i < target->pages.size(); ++i) {
     if (base_hashes.count(target->pages[i]->entry.hash) == 0) {
-      page_changed[i] = 1;
-      ++out.pages_rematched;
+      changed.push_back(i);
     }
   }
 
-  // Keep pages/catalog intact (page_index stays valid); restrict the record
-  // sweep to the delta.
-  std::vector<CarvedRecord> delta_records;
-  for (CarvedRecord& r : carve.records) {
-    if (r.page_index < page_changed.size() && page_changed[r.page_index] != 0) {
-      delta_records.push_back(std::move(r));
-    }
-  }
-  carve.records = std::move(delta_records);
+  // Pages, catalog and schemas cover the whole target (page_index stays
+  // valid); records are materialized for the delta only.
+  DBFA_ASSIGN_OR_RETURN(CarveResult carve, Assemble(*target, changed));
+  IncrementalDetection out;
+  out.base_id = base_id;
+  out.target_id = target_id;
+  out.pages_rematched = changed.size();
   out.records_rematched = carve.records.size();
 
   log_index_.Update(log);

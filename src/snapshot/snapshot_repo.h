@@ -206,6 +206,15 @@ class SnapshotRepo {
   /// stands for the empty repository: every record of the target is
   /// matched, exactly as DbDetective::FindUnattributedModifications would.
   ///
+  /// The delta is the target pages whose content hash is not among the
+  /// base's pages, and only their records are materialized: one call costs
+  /// the base's hash set, the target's page list, the catalog pages (read
+  /// from the page store; schemas and decode contexts need them), the
+  /// changed pages' artifacts (a cache miss decodes the page from the page
+  /// store), binding the log per table, and the sweep over the delta.
+  /// Unchanged pages cost one hash lookup each, however many records they
+  /// hold.
+  ///
   /// The repository keeps one AuditLogIndex across calls: when `log`
   /// extends the log of the previous call (its entries start with the same
   /// shared handles) only the new entries are indexed, each parsed at most
@@ -244,6 +253,14 @@ class SnapshotRepo {
   SnapshotRepo(std::string dir, CarverConfig config, CarveOptions options);
 
   const Snapshot* FindSnapshot(uint64_t id) const;
+
+  /// Builds `snap`'s CarveResult with the page list, catalog and schemas of
+  /// the whole snapshot, but records and index entries only of the pages
+  /// listed in `content_pages` (ascending page indices). AssembleCarve
+  /// passes every page; DetectIncremental passes the delta.
+  Result<CarveResult> Assemble(const Snapshot& snap,
+                               const std::vector<size_t>& content_pages);
+
   Status LoadManifests();
   Status WriteManifest(const Snapshot& snap) const;
 

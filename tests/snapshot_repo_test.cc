@@ -331,12 +331,19 @@ TEST(SnapshotRepoTest, DetectIncrementalFlagsOnlyDeltaRecords) {
 /// run on the same delta: the target's records on pages whose content hash
 /// is not among the base capture's pages (base_id 0: every record). Same
 /// findings in the same order, same checked counts. Returns the findings.
+///
+/// The oracle derives the delta from a full AssembleCarve of both
+/// snapshots, independently of DetectIncremental's delta-only assembly.
+/// DetectIncremental runs first, so it sees the artifact cache as the
+/// caller left it (the oracle's assemblies fill it). `captures[id - 1]` is
+/// the image ingested as snapshot `id`.
 std::vector<std::string> ExpectDeltaMatchesOracle(
     SnapshotRepo* repo, uint64_t base_id, uint64_t target_id,
     const std::vector<Bytes>& captures, const AuditLog& log) {
   SCOPED_TRACE(StrFormat("delta %llu -> %llu",
                          static_cast<unsigned long long>(base_id),
                          static_cast<unsigned long long>(target_id)));
+  auto inc = repo->DetectIncremental(base_id, target_id, log);
   const size_t page_size = repo->config().params.page_size;
   auto page_hash = [&](uint64_t id, const CarvedPage& p) {
     return HashBytes(
@@ -364,7 +371,6 @@ std::vector<std::string> ExpectDeltaMatchesOracle(
   size_t ref_deleted = 0, ref_active = 0;
   auto ref = detective_internal::FindUnattributedModificationsReference(
       *delta, log, &ref_deleted, &ref_active);
-  auto inc = repo->DetectIncremental(base_id, target_id, log);
   EXPECT_TRUE(ref.ok()) << ref.status().ToString();
   EXPECT_TRUE(inc.ok()) << inc.status().ToString();
   if (!ref.ok() || !inc.ok()) return {};
@@ -378,60 +384,96 @@ std::vector<std::string> ExpectDeltaMatchesOracle(
   return got;
 }
 
-TEST(SnapshotRepoTest, IncrementalLogIndexMatchesOracleAsTheLogGrows) {
-  std::string dir = RepoDir("snap_log_index");
-  auto repo = SnapshotRepo::Create(dir, ConfigFor("postgres_like"));
-  ASSERT_TRUE(repo.ok()) << repo.status().ToString();
-  auto db = PopulatedDb("postgres_like", 80);
-  std::vector<Bytes> captures;
-  auto capture = [&]() {
-    captures.push_back(CaptureImage(db.get(), 90 + captures.size()));
-    auto ingest = (*repo)->Ingest(captures.back());
+/// A repository fed by a Customer database: Capture() ingests the
+/// database's current image, IngestAgain(id) re-ingests the image of an
+/// earlier snapshot, and Exec runs SQL with the audit log on or off.
+struct CaptureSeries {
+  explicit CaptureSeries(const std::string& name, int rows = 80)
+      : dir(RepoDir(name)), db(PopulatedDb("postgres_like", rows)) {
+    auto created = SnapshotRepo::Create(dir, ConfigFor("postgres_like"));
+    EXPECT_TRUE(created.ok()) << created.status().ToString();
+    if (created.ok()) repo = std::move(created).value();
+  }
+
+  uint64_t Ingest(Bytes image) {
+    captures.push_back(std::move(image));
+    auto ingest = repo->Ingest(captures.back());
     EXPECT_TRUE(ingest.ok()) << ingest.status().ToString();
     return ingest.ok() ? ingest->snapshot_id : 0;
-  };
-  auto exec = [&](const std::string& sql, bool logged) {
+  }
+  uint64_t Capture() {
+    return Ingest(CaptureImage(db.get(), 90 + captures.size()));
+  }
+  uint64_t IngestAgain(uint64_t id) { return Ingest(captures[id - 1]); }
+
+  void Exec(const std::string& sql, bool logged = true) {
     db->audit_log().SetEnabled(logged);
     EXPECT_TRUE(db->ExecuteSql(sql).ok()) << sql;
     db->audit_log().SetEnabled(true);
-  };
+  }
+
+  /// Closes the repository and opens it again from disk.
+  void Reopen() {
+    repo.reset();
+    auto opened = SnapshotRepo::Open(dir);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    repo = std::move(opened).value();
+  }
+
+  std::vector<std::string> ExpectOracle(uint64_t base_id, uint64_t target_id) {
+    return ExpectDeltaMatchesOracle(repo.get(), base_id, target_id, captures,
+                                    db->audit_log());
+  }
+
+  std::string dir;
+  std::unique_ptr<Database> db;
+  std::unique_ptr<SnapshotRepo> repo;
+  std::vector<Bytes> captures;
+};
+
+TEST(SnapshotRepoTest, IncrementalLogIndexMatchesOracleAsTheLogGrows) {
+  CaptureSeries s("snap_log_index");
+  ASSERT_NE(s.repo, nullptr);
+  SnapshotRepo* repo = s.repo.get();
+  const std::vector<Bytes>& captures = s.captures;
 
   // The first capture is a full match (base 0); every later one extends
   // the indexed log: the database's own log only grows between captures.
-  const AuditLog& log = db->audit_log();
-  ExpectDeltaMatchesOracle(repo->get(), 0, capture(), captures, log);
+  const AuditLog& log = s.db->audit_log();
+  ExpectDeltaMatchesOracle(repo, 0, s.Capture(), captures, log);
   AuditLog before_last_step;
   const int kSteps = 6;
   for (int step = 1; step <= kSteps; ++step) {
     if (step == kSteps) before_last_step = log;  // shares every handle
-    exec(StrFormat("INSERT INTO Customer VALUES (%d, 'New%d', 'Town')",
-                   200 + step, step),
-         true);
-    exec(StrFormat("UPDATE Customer SET City = 'Moved%d' WHERE Id = %d", step,
-                   30 + step),
-         true);
-    exec(StrFormat("DELETE FROM Customer WHERE Id = %d", 50 + step), true);
+    s.Exec(StrFormat("INSERT INTO Customer VALUES (%d, 'New%d', 'Town')",
+                     200 + step, step),
+           true);
+    s.Exec(StrFormat("UPDATE Customer SET City = 'Moved%d' WHERE Id = %d",
+                     step, 30 + step),
+           true);
+    s.Exec(StrFormat("DELETE FROM Customer WHERE Id = %d", 50 + step), true);
     if (step % 2 == 0) {  // unlogged tampering
-      exec(StrFormat("DELETE FROM Customer WHERE Id = %d", 60 + step), false);
-      exec(StrFormat("INSERT INTO Customer VALUES (%d, 'Ghost', 'X')",
-                     900 + step),
-           false);
+      s.Exec(StrFormat("DELETE FROM Customer WHERE Id = %d", 60 + step),
+             false);
+      s.Exec(StrFormat("INSERT INTO Customer VALUES (%d, 'Ghost', 'X')",
+                       900 + step),
+             false);
     }
-    uint64_t id = capture();
-    ExpectDeltaMatchesOracle(repo->get(), id - 1, id, captures, log);
+    uint64_t id = s.Capture();
+    ExpectDeltaMatchesOracle(repo, id - 1, id, captures, log);
   }
   const uint64_t last = captures.size();
   std::vector<std::string> grown =
-      ExpectDeltaMatchesOracle(repo->get(), last - 1, last, captures, log);
+      ExpectDeltaMatchesOracle(repo, last - 1, last, captures, log);
   EXPECT_FALSE(grown.empty());
 
   // Logs that do not extend the indexed one rebuild the index.
   // A reload of the same text: fresh handles, same findings.
   auto reloaded = AuditLog::FromText(log.ToText());
   ASSERT_TRUE(reloaded.ok());
-  EXPECT_EQ(ExpectDeltaMatchesOracle(repo->get(), last - 1, last, captures,
-                                     *reloaded),
-            grown);
+  EXPECT_EQ(
+      ExpectDeltaMatchesOracle(repo, last - 1, last, captures, *reloaded),
+      grown);
   // One entry replaced: the last logged DELETE now names another row, so
   // the row it removed is unattributed.
   std::string text = log.ToText();
@@ -442,22 +484,152 @@ TEST(SnapshotRepoTest, IncrementalLogIndexMatchesOracleAsTheLogGrows) {
                "DELETE FROM Customer WHERE Id = 7777");
   auto replaced = AuditLog::FromText(text);
   ASSERT_TRUE(replaced.ok());
-  EXPECT_EQ(ExpectDeltaMatchesOracle(repo->get(), last - 1, last, captures,
-                                     *replaced)
-                .size(),
-            grown.size() + 1);
+  EXPECT_EQ(
+      ExpectDeltaMatchesOracle(repo, last - 1, last, captures, *replaced)
+          .size(),
+      grown.size() + 1);
   // Back to the full log, then a shorter copy that shares its handles: the
   // last step's logged statements are missing, so more is unattributed.
-  EXPECT_EQ(ExpectDeltaMatchesOracle(repo->get(), last - 1, last, captures,
-                                     log),
+  EXPECT_EQ(ExpectDeltaMatchesOracle(repo, last - 1, last, captures, log),
             grown);
-  EXPECT_GT(ExpectDeltaMatchesOracle(repo->get(), last - 1, last, captures,
+  EXPECT_GT(ExpectDeltaMatchesOracle(repo, last - 1, last, captures,
                                      before_last_step)
                 .size(),
             grown.size());
-  EXPECT_EQ(ExpectDeltaMatchesOracle(repo->get(), last - 1, last, captures,
-                                     log),
+  EXPECT_EQ(ExpectDeltaMatchesOracle(repo, last - 1, last, captures, log),
             grown);
+}
+
+TEST(SnapshotRepoTest, DetectIncrementalOnNonAdjacentRevertedAndSelfBases) {
+  CaptureSeries s("snap_delta_bases");
+  ASSERT_NE(s.repo, nullptr);
+  uint64_t a = s.Capture();
+  s.Exec("UPDATE Customer SET City = 'Moved' WHERE Id = 33");
+  s.Exec("DELETE FROM Customer WHERE Id = 44", /*logged=*/false);
+  uint64_t b = s.Capture();
+  s.Exec("INSERT INTO Customer VALUES (901, 'Ghost', 'X')", /*logged=*/false);
+  s.Exec("DELETE FROM Customer WHERE Id = 55");
+  uint64_t c = s.Capture();
+
+  // Non-adjacent base: the delta spans two captures' worth of changes.
+  std::vector<std::string> a_to_c = s.ExpectOracle(a, c);
+  EXPECT_EQ(a_to_c.size(), 2u);  // the unlogged DELETE and INSERT
+  EXPECT_GE(a_to_c.size(), s.ExpectOracle(b, c).size());
+
+  // The bytes revert: snapshot `reverted` holds capture a's image again.
+  uint64_t reverted = s.IngestAgain(a);
+  s.ExpectOracle(c, reverted);
+  s.ExpectOracle(b, reverted);
+  auto same_bytes = s.repo->DetectIncremental(a, reverted, s.db->audit_log());
+  ASSERT_TRUE(same_bytes.ok()) << same_bytes.status().ToString();
+  EXPECT_EQ(same_bytes->pages_rematched, 0u);
+  EXPECT_EQ(same_bytes->records_rematched, 0u);
+  EXPECT_TRUE(s.ExpectOracle(a, reverted).empty());
+
+  // base == target: nothing changed, nothing is re-matched.
+  for (uint64_t id : {a, b, c, reverted}) {
+    auto self = s.repo->DetectIncremental(id, id, s.db->audit_log());
+    ASSERT_TRUE(self.ok()) << self.status().ToString();
+    EXPECT_EQ(self->pages_rematched, 0u);
+    EXPECT_EQ(self->records_rematched, 0u);
+    EXPECT_EQ(self->deleted_checked + self->active_checked, 0u);
+    EXPECT_TRUE(self->modifications.empty());
+    EXPECT_TRUE(s.ExpectOracle(id, id).empty());
+  }
+}
+
+TEST(SnapshotRepoTest, DetectIncrementalAcrossDropAndCreateTable) {
+  CaptureSeries s("snap_delta_ddl");
+  ASSERT_NE(s.repo, nullptr);
+  uint64_t before = s.Capture();
+  // Same table name, new schema: the catalog, the schemas and every typed
+  // page's decode context change between the two captures.
+  s.Exec("DROP TABLE Customer");
+  s.Exec("CREATE TABLE Customer (Id INT NOT NULL, Note VARCHAR(40), "
+         "PRIMARY KEY (Id))");
+  s.Exec("CREATE TABLE Orders (OrderId INT NOT NULL, Amount INT, "
+         "PRIMARY KEY (OrderId))");
+  for (int i = 1; i <= 30; ++i) {
+    s.Exec(StrFormat("INSERT INTO Customer VALUES (%d, 'Note%d')", i, i));
+    s.Exec(StrFormat("INSERT INTO Orders VALUES (%d, %d)", i, i * 10));
+  }
+  s.Exec("INSERT INTO Customer VALUES (999, 'Unlogged')", /*logged=*/false);
+  s.Exec("DELETE FROM Orders WHERE OrderId = 7", /*logged=*/false);
+  uint64_t after = s.Capture();
+
+  auto old_carve = s.repo->AssembleCarve(before);
+  auto new_carve = s.repo->AssembleCarve(after);
+  ASSERT_TRUE(old_carve.ok() && new_carve.ok());
+  EXPECT_NE(old_carve->catalog_entries.size(),
+            new_carve->catalog_entries.size());
+  EXPECT_NE(old_carve->schemas.size(), new_carve->schemas.size());
+
+  std::vector<std::string> found = s.ExpectOracle(before, after);
+  auto mentions = [&](const std::string& needle) {
+    for (const std::string& f : found) {
+      if (f.find(needle) != std::string::npos) return true;
+    }
+    return false;
+  };
+  EXPECT_TRUE(mentions("Unlogged")) << Join(found, "\n");
+  s.ExpectOracle(0, after);
+  s.ExpectOracle(after, before);
+}
+
+TEST(SnapshotRepoTest, DetectIncrementalFallsBackToPageStoreWithoutArtifacts) {
+  CaptureSeries s("snap_delta_no_artifacts");
+  ASSERT_NE(s.repo, nullptr);
+  s.Capture();
+  s.Exec("UPDATE Customer SET City = 'Moved' WHERE Id = 61");
+  s.Exec("DELETE FROM Customer WHERE Id = 62", /*logged=*/false);
+  uint64_t last = s.Capture();
+
+  s.repo.reset();
+  ASSERT_TRUE(fs::remove(fs::path(s.dir) / "artifacts.bin"));
+  s.Reopen();
+  ASSERT_EQ(s.repo->artifact_cache().size(), 0u);
+
+  // DetectIncremental runs before the oracle's assemblies: every delta page
+  // is a cache miss, decoded from the page store and put back in the cache.
+  EXPECT_EQ(s.ExpectOracle(last - 1, last).size(), 1u);
+  EXPECT_EQ(s.repo->artifact_cache().decodes(), 0u);
+  EXPECT_GT(s.repo->artifact_cache().size(), 0u);
+}
+
+TEST(SnapshotRepoTest, DetectIncrementalDecodesOnlyTheChangedPages) {
+  CaptureSeries s("snap_delta_decodes", /*rows=*/600);
+  ASSERT_NE(s.repo, nullptr);
+  s.Capture();
+  s.Exec("UPDATE Customer SET City = 'Moved' WHERE Id = 170");
+  s.Capture();
+  s.Exec("UPDATE Customer SET City = 'Moved' WHERE Id = 375");
+  s.Exec("INSERT INTO Customer VALUES (950, 'Late', 'Town')");
+  uint64_t last = s.Capture();
+
+  // A reopened repository decodes artifacts lazily, one key at a time.
+  s.Reopen();
+  ASSERT_EQ(s.repo->artifact_cache().decodes(), 0u);
+  auto inc = s.repo->DetectIncremental(last - 1, last, s.db->audit_log());
+  ASSERT_TRUE(inc.ok()) << inc.status().ToString();
+  const size_t delta_decodes = s.repo->artifact_cache().decodes();
+
+  // The distinct (page hash, context) keys of the changed pages, derived by
+  // full assembly: the keys of the target that the base does not already
+  // have (no schema changes here, so an unchanged page keeps its key).
+  s.Reopen();
+  ASSERT_TRUE(s.repo->AssembleCarve(last - 1).ok());
+  const size_t base_keys = s.repo->artifact_cache().decodes();
+  ASSERT_TRUE(s.repo->AssembleCarve(last).ok());
+  const size_t changed_keys = s.repo->artifact_cache().decodes() - base_keys;
+  s.Reopen();
+  ASSERT_TRUE(s.repo->AssembleCarve(last).ok());
+  const size_t target_keys = s.repo->artifact_cache().decodes();
+
+  EXPECT_EQ(delta_decodes, changed_keys);
+  EXPECT_GT(delta_decodes, 0u);
+  EXPECT_LT(delta_decodes, target_keys);
+  EXPECT_GT(inc->records_rematched, 0u);
+  s.ExpectOracle(last - 1, last);
 }
 
 TEST(SnapshotRepoTest, RegisterSnapshotsEnablesCrossSnapshotQueries) {
