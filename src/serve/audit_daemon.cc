@@ -208,13 +208,6 @@ void AuditDaemon::ShardLoop(size_t shard) {
 
 Status AuditDaemon::ProcessCapture(Instance* inst, CaptureTask* task) {
   if (inst->repo == nullptr) {
-    std::error_code ec;
-    std::filesystem::create_directories(inst->dir, ec);
-    if (ec) {
-      return Status::IoError(
-          StrFormat("dbfa_serve: cannot create instance dir %s: %s",
-                    inst->dir.c_str(), ec.message().c_str()));
-    }
     DBFA_ASSIGN_OR_RETURN(
         inst->repo,
         SnapshotRepo::Create(inst->dir, inst->config, options_.carve));

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/bytes.h"
 #include "common/checksum.h"
 #include "common/hexdump.h"
@@ -142,6 +144,92 @@ TEST(ChecksumTest, StreamMatchesOneShot) {
     stream.Update(ByteView(data.data() + 123, data.size() - 123));
     EXPECT_EQ(stream.Final(), ComputeChecksum(kind, data))
         << ChecksumKindName(kind);
+  }
+}
+
+// Bytewise definitions, kept here as the oracle for the fast kernels
+// (slice-by-8 CRC-32, Fletcher-16 reduced once per 4096-byte block).
+uint32_t ReferenceChecksum(ChecksumKind kind, const Bytes& data) {
+  switch (kind) {
+    case ChecksumKind::kNone:
+      return 0;
+    case ChecksumKind::kCrc32: {
+      uint32_t c = 0xFFFFFFFFu;
+      for (uint8_t byte : data) {
+        c ^= byte;
+        for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      return c ^ 0xFFFFFFFFu;
+    }
+    case ChecksumKind::kFletcher16: {
+      uint32_t sum1 = 0;
+      uint32_t sum2 = 0;
+      for (uint8_t byte : data) {
+        sum1 = (sum1 + byte) % 255;
+        sum2 = (sum2 + sum1) % 255;
+      }
+      return (sum2 << 8) | sum1;
+    }
+    case ChecksumKind::kXor8: {
+      uint32_t x = 0;
+      for (uint8_t byte : data) x ^= byte;
+      return x;
+    }
+  }
+  return 0;
+}
+
+TEST(ChecksumTest, KernelsMatchBytewiseReference) {
+  // Lengths span the 4096-byte Fletcher block on both sides, twice over,
+  // up to 32 KiB; all-0xFF input is the largest the deferred sums get.
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 40; ++n) lengths.push_back(n);
+  for (size_t n : {255, 256, 4095, 4096, 4097, 6000, 8191, 8192, 8193, 8199,
+                   12288, 12289, 32768}) {
+    lengths.push_back(n);
+  }
+  Rng rng(4096);
+  for (int fill : {-1, 0xFF, 0x00}) {
+    for (size_t n : lengths) {
+      Bytes data(n);
+      for (uint8_t& byte : data) {
+        byte = fill < 0 ? static_cast<uint8_t>(rng.NextU64())
+                        : static_cast<uint8_t>(fill);
+      }
+      for (ChecksumKind kind : {ChecksumKind::kCrc32, ChecksumKind::kFletcher16,
+                                ChecksumKind::kXor8}) {
+        SCOPED_TRACE(StrFormat("%s fill=%d n=%zu", ChecksumKindName(kind), fill,
+                               n));
+        EXPECT_EQ(ComputeChecksum(kind, data), ReferenceChecksum(kind, data));
+        // Streamed after a prefix, so the state is not zero on entry. Trial
+        // 0 prefixes 0xFE, which leaves both Fletcher sums at 254, their
+        // maximum, and sends the rest whole; later trials use a random
+        // prefix and random split points (empty pieces included).
+        for (int trial = 0; trial < 3; ++trial) {
+          Bytes all;
+          if (trial == 0) {
+            all.push_back(0xFE);
+          } else {
+            all.resize(static_cast<size_t>(rng.Uniform(1, 300)));
+            for (uint8_t& byte : all) byte = static_cast<uint8_t>(rng.NextU64());
+          }
+          ChecksumStream stream(kind);
+          stream.Update(all);
+          all.insert(all.end(), data.begin(), data.end());
+          size_t pos = all.size() - n;
+          while (pos < all.size()) {
+            size_t left = all.size() - pos;
+            size_t len = trial == 0 ? left
+                                    : static_cast<size_t>(rng.Uniform(
+                                          0, static_cast<int64_t>(left)));
+            stream.Update(ByteView(all.data() + pos, len));
+            pos += len;
+          }
+          EXPECT_EQ(stream.Final(), ReferenceChecksum(kind, all))
+              << "trial " << trial;
+        }
+      }
+    }
   }
 }
 

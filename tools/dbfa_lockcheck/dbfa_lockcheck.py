@@ -93,7 +93,7 @@ CV_WAIT_RE = re.compile(r"(?:\.|->)\s*Wait\s*\(\s*&\s*([^);]+?)\s*\)")
 BLOCKING_RE = re.compile(
     r"\b(?:std::)?(?:f(?:open|close|read|write|flush|printf|sync))\s*\("
     r"|\bstd::filesystem::(?!path\b)\w+\s*\("
-    r"|\b(?:ReadFile|ReadFileBytes|WriteFile|CommitFile|ScanBlocks)\s*\("
+    r"|\b(?:ReadFile|ReadFileBytes|WriteFile|ScanBlocks|ScanCommitLog)\s*\("
     r"|(?:\.|->)\s*(?:Append|ReadAt)\s*\("
     r"|(?:\.|->)\s*(?:Push|TryPush|Pop|ParallelFor|Submit)\s*\("
     r"|(?:\.|->)\s*Wait\s*\(\s*\)")
