@@ -7,19 +7,11 @@
 
 namespace dbfa {
 
-Result<std::unique_ptr<ArtifactCache>> ArtifactCache::Open(
-    const std::string& path) {
-  std::unique_ptr<ArtifactCache> cache(new ArtifactCache());
-  DBFA_ASSIGN_OR_RETURN(cache->file_, BlockFile::Open(path));
-  ArtifactCache* self = cache.get();
-  DBFA_RETURN_IF_ERROR(ScanBlocks(
-      path, [self](uint64_t offset, const std::string& payload) {
-        ArtifactKey key;
-        DBFA_RETURN_IF_ERROR(DecodeArtifactKey(payload, &key));
-        self->index_.emplace(key, Slot{offset, nullptr});
-        return Status::Ok();
-      }));
-  return cache;
+Status ArtifactCache::Load(uint64_t offset, std::string_view payload) {
+  ArtifactKey key;
+  DBFA_RETURN_IF_ERROR(DecodeArtifactKey(payload, &key));
+  index_.emplace(key, Slot{offset, nullptr});
+  return Status::Ok();
 }
 
 Result<std::shared_ptr<const PageArtifacts>> ArtifactCache::Get(
@@ -30,7 +22,7 @@ Result<std::shared_ptr<const PageArtifacts>> ArtifactCache::Get(
   }
   if (it->second.decoded != nullptr) return it->second.decoded;
   std::string payload;
-  DBFA_RETURN_IF_ERROR(file_.ReadAt(it->second.file_offset, &payload));
+  DBFA_RETURN_IF_ERROR(file_->ReadAt(it->second.file_offset, &payload));
   ArtifactKey stored_key;
   auto artifacts = std::make_shared<PageArtifacts>();
   DBFA_RETURN_IF_ERROR(
@@ -49,7 +41,7 @@ Status ArtifactCache::Put(const ArtifactKey& key,
   if (it != index_.end()) return Status::Ok();
   std::string payload;
   EncodeArtifactEntry(key, artifacts, &payload);
-  DBFA_ASSIGN_OR_RETURN(uint64_t offset, file_.Append(payload));
+  DBFA_ASSIGN_OR_RETURN(uint64_t offset, file_->Append(payload));
   index_.emplace(key, Slot{offset, std::make_shared<PageArtifacts>(artifacts)});
   return Status::Ok();
 }

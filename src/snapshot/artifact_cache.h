@@ -1,9 +1,9 @@
 // Per-page carve artifact cache: the records and index entries the content
-// pass produced for one (page content, decode context) pair, stored in an
-// append-only checksummed block file (artifacts.bin).
+// pass produced for one (page content, decode context) pair, stored as an
+// artifact block of the repository's append-only checksummed block file.
 //
 // Cache correctness rests on the carver's per-page determinism: for a fixed
-// repository (fixed carve options, stored in repo.meta) the content pass
+// repository (fixed carve options, stored in its header) the content pass
 // over one page depends only on the page bytes and the schema that drove
 // typed decoding — so the key is (page hash, context hash), where the
 // context is the serialized schema or a constant for untyped/index/catalog
@@ -12,13 +12,13 @@
 // never returned, merely left unreferenced.
 //
 // Entries are decoded lazily and memoized, so reopening a large repository
-// costs one index scan, not a full artifact decode. Single-orchestrator
-// contract, like PageStore.
+// costs one index pass over the file, not a full artifact decode.
+// Single-orchestrator contract, like PageStore.
 #ifndef DBFA_SNAPSHOT_ARTIFACT_CACHE_H_
 #define DBFA_SNAPSHOT_ARTIFACT_CACHE_H_
 
 #include <memory>
-#include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "common/file_io.h"
@@ -29,8 +29,13 @@ namespace dbfa {
 
 class ArtifactCache {
  public:
-  /// Opens (or creates) the cache file and scans its block index.
-  static Result<std::unique_ptr<ArtifactCache>> Open(const std::string& path);
+  /// An empty cache over `file`, which must outlive it. Artifact blocks
+  /// reach the index through Load (a scan of the file) or Put.
+  explicit ArtifactCache(BlockFile* file) : file_(file) {}
+
+  /// Indexes the artifact block at `offset`, given its payload; only the
+  /// key is decoded.
+  Status Load(uint64_t offset, std::string_view payload);
 
   ArtifactCache(const ArtifactCache&) = delete;
   ArtifactCache& operator=(const ArtifactCache&) = delete;
@@ -41,7 +46,8 @@ class ArtifactCache {
     return index_.find(key) != index_.end();
   }
 
-  /// Entries read from the file and decoded since Open() — lazy first
+  /// Entries read from the file and decoded since the repository was
+  /// opened — lazy first
   /// accesses only; memoized hits and Put() do not count.
   size_t decodes() const { return decodes_; }
 
@@ -56,14 +62,12 @@ class ArtifactCache {
   Status Put(const ArtifactKey& key, const PageArtifacts& artifacts);
 
  private:
-  ArtifactCache() = default;
-
   struct Slot {
     uint64_t file_offset = 0;
     std::shared_ptr<const PageArtifacts> decoded;  // lazy
   };
 
-  BlockFile file_;
+  BlockFile* file_;
   std::unordered_map<ArtifactKey, Slot, ArtifactKeyHasher> index_;
   size_t decodes_ = 0;
 };

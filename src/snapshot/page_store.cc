@@ -6,24 +6,13 @@
 
 namespace dbfa {
 
-Result<std::unique_ptr<PageStore>> PageStore::Open(const std::string& path,
-                                                   size_t page_size) {
-  if (page_size == 0) {
-    return Status::InvalidArgument("page store: page size must be nonzero");
-  }
-  std::unique_ptr<PageStore> store(new PageStore(page_size));
-  DBFA_ASSIGN_OR_RETURN(store->file_, BlockFile::Open(path));
-  PageStore* self = store.get();
-  DBFA_RETURN_IF_ERROR(ScanBlocks(
-      path, [self](uint64_t offset, const std::string& payload) {
-        PageStoreEntry entry;
-        size_t page_bytes = 0;
-        DBFA_RETURN_IF_ERROR(
-            DecodePageEntry(payload, self->page_size_, &entry, &page_bytes));
-        self->Index(entry, offset);
-        return Status::Ok();
-      }));
-  return store;
+Status PageStore::Load(uint64_t offset, std::string_view payload) {
+  PageStoreEntry decoded;
+  size_t page_bytes = 0;
+  DBFA_RETURN_IF_ERROR(
+      DecodePageEntry(payload, page_size_, &decoded, &page_bytes));
+  Index(decoded, offset);
+  return Status::Ok();
 }
 
 const PageStore::Stored* PageStore::Index(const PageStoreEntry& entry,
@@ -47,13 +36,13 @@ Result<const PageStore::Stored*> PageStore::Put(const PageStoreEntry& entry,
   if (const Stored* existing = Find(entry.hash)) return existing;
   std::string payload;
   EncodePageEntry(entry, page, &payload);
-  DBFA_ASSIGN_OR_RETURN(uint64_t offset, file_.Append(payload));
+  DBFA_ASSIGN_OR_RETURN(uint64_t offset, file_->Append(payload));
   return Index(entry, offset);
 }
 
 Status PageStore::ReadPage(const Stored& stored, Bytes* out) const {
   std::string payload;
-  DBFA_RETURN_IF_ERROR(file_.ReadAt(stored.file_offset, &payload));
+  DBFA_RETURN_IF_ERROR(file_->ReadAt(stored.file_offset, &payload));
   PageStoreEntry entry;
   size_t page_bytes = 0;
   DBFA_RETURN_IF_ERROR(

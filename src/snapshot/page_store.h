@@ -1,5 +1,6 @@
 // Content-addressed page store: every unique page seen across snapshots,
-// stored once in an append-only checksummed block file (pages.bin).
+// stored once as a page block of the repository's append-only checksummed
+// block file.
 //
 // The in-memory index is small — one map node per unique page — because
 // page bytes stay on disk and are re-read only during assembly (catalog
@@ -9,12 +10,11 @@
 //
 // Concurrency contract: const Find may run on any number of threads while
 // no Put runs (ingest's detection scan probes the store from the worker
-// pool); open, Put and ReadPage belong to one orchestrating thread.
+// pool); Load, Put and ReadPage belong to one orchestrating thread.
 #ifndef DBFA_SNAPSHOT_PAGE_STORE_H_
 #define DBFA_SNAPSHOT_PAGE_STORE_H_
 
-#include <memory>
-#include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "common/bytes.h"
@@ -27,18 +27,19 @@ namespace dbfa {
 class PageStore {
  public:
   /// One stored page: its content address, content-derived carve metadata,
-  /// and where its bytes live in pages.bin.
+  /// and where its bytes live in the repository file.
   struct Stored {
     PageStoreEntry entry;
-    uint64_t file_offset = 0;  // block start within pages.bin
+    uint64_t file_offset = 0;  // start of its block
   };
 
-  /// Opens (or creates) the store file and rebuilds the index by scanning
-  /// its blocks. A torn final block — crash mid-append — is reported as
-  /// Corruption: the repository manifest is written after the store, so a
-  /// consistent repo never has one.
-  static Result<std::unique_ptr<PageStore>> Open(const std::string& path,
-                                                 size_t page_size);
+  /// An empty store over `file`, which must outlive it. Page blocks reach
+  /// the index through Load (a scan of the file) or Put.
+  PageStore(BlockFile* file, size_t page_size)
+      : page_size_(page_size), file_(file) {}
+
+  /// Indexes the page block at `offset`, given its payload.
+  Status Load(uint64_t offset, std::string_view payload);
 
   PageStore(const PageStore&) = delete;
   PageStore& operator=(const PageStore&) = delete;
@@ -53,7 +54,7 @@ class PageStore {
     return it == index_.end() ? nullptr : &it->second;
   }
 
-  /// Appends a page (no-op returning the existing entry when the hash is
+  /// Appends a page block (no-op returning the existing entry when the hash is
   /// already stored). `entry.meta.image_offset` is ignored and stored as 0.
   Result<const Stored*> Put(const PageStoreEntry& entry, ByteView page);
 
@@ -61,13 +62,11 @@ class PageStore {
   Status ReadPage(const Stored& stored, Bytes* out) const;
 
  private:
-  explicit PageStore(size_t page_size) : page_size_(page_size) {}
-
   /// Adds an entry stored at `offset` to the in-memory index.
   const Stored* Index(const PageStoreEntry& entry, uint64_t offset);
 
   size_t page_size_;
-  BlockFile file_;
+  BlockFile* file_;
 
   // Node-based, so Stored addresses survive rehashing.
   std::unordered_map<PageHash, Stored, PageHashHasher> index_;

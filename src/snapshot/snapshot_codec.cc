@@ -118,6 +118,18 @@ bool KnownPageTypeByte(uint8_t t) {
          t == static_cast<uint8_t>(PageType::kFree);
 }
 
+/// Consumes a payload's leading kind byte, which must be `kind`.
+Status TakeKind(std::string_view buf, size_t* pos, BlockKind kind) {
+  uint8_t byte = 0;
+  DBFA_RETURN_IF_ERROR(TakeU8(buf, pos, &byte));
+  if (byte != static_cast<uint8_t>(kind)) {
+    return Status::Corruption(
+        StrFormat("block kind 0x%02x where '%c' was expected", byte,
+                  static_cast<char>(kind)));
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 uint64_t PageHash::Prefix64() const { return Load64LE(bytes.data()); }
@@ -194,7 +206,8 @@ PageHash HashBytes(ByteView data) {
 
 void EncodePageEntry(const PageStoreEntry& entry, ByteView page,
                      std::string* out) {
-  out->reserve(out->size() + 44 + page.size());
+  out->reserve(out->size() + 45 + page.size());
+  AppendU8(out, static_cast<uint8_t>(BlockKind::kPage));
   AppendHash(out, entry.hash);
   AppendU32(out, entry.crc);
   AppendU32(out, entry.meta.page_id);
@@ -210,6 +223,7 @@ void EncodePageEntry(const PageStoreEntry& entry, ByteView page,
 Status DecodePageEntry(std::string_view payload, size_t page_size,
                        PageStoreEntry* entry, size_t* page_bytes) {
   size_t pos = 0;
+  DBFA_RETURN_IF_ERROR(TakeKind(payload, &pos, BlockKind::kPage));
   DBFA_RETURN_IF_ERROR(TakeHash(payload, &pos, &entry->hash));
   DBFA_RETURN_IF_ERROR(TakeU32(payload, &pos, &entry->crc));
   DBFA_RETURN_IF_ERROR(TakeU32(payload, &pos, &entry->meta.page_id));
@@ -239,6 +253,7 @@ Status DecodePageEntry(std::string_view payload, size_t page_size,
 
 void EncodeArtifactEntry(const ArtifactKey& key, const PageArtifacts& artifacts,
                          std::string* out) {
+  AppendU8(out, static_cast<uint8_t>(BlockKind::kArtifact));
   AppendHash(out, key.page);
   AppendHash(out, key.context);
   AppendU32(out, static_cast<uint32_t>(artifacts.records.size()));
@@ -265,6 +280,7 @@ void EncodeArtifactEntry(const ArtifactKey& key, const PageArtifacts& artifacts,
 
 Status DecodeArtifactKey(std::string_view payload, ArtifactKey* key) {
   size_t pos = 0;
+  DBFA_RETURN_IF_ERROR(TakeKind(payload, &pos, BlockKind::kArtifact));
   DBFA_RETURN_IF_ERROR(TakeHash(payload, &pos, &key->page));
   DBFA_RETURN_IF_ERROR(TakeHash(payload, &pos, &key->context));
   return Status::Ok();
@@ -273,6 +289,7 @@ Status DecodeArtifactKey(std::string_view payload, ArtifactKey* key) {
 Status DecodeArtifactEntry(std::string_view payload, ArtifactKey* key,
                            PageArtifacts* artifacts) {
   size_t pos = 0;
+  DBFA_RETURN_IF_ERROR(TakeKind(payload, &pos, BlockKind::kArtifact));
   DBFA_RETURN_IF_ERROR(TakeHash(payload, &pos, &key->page));
   DBFA_RETURN_IF_ERROR(TakeHash(payload, &pos, &key->context));
   uint32_t record_count = 0;

@@ -11,8 +11,8 @@
 //                  (per-page carved records and index entries, serialized
 //                  through the bit-exact sql/row_codec Value codec).
 //
-// The entries are stored as payloads of block files (common/file_io.h),
-// whose framing detects torn and bit-flipped blocks. Every decode path is
+// The entries are stored as blocks of the repository file
+// (common/file_io.h), whose framing detects torn and bit-flipped blocks. Every decode path is
 // bounds-checked against hostile input: repository files are evidence and
 // may be handed to us tampered.
 #ifndef DBFA_SNAPSHOT_SNAPSHOT_CODEC_H_
@@ -60,6 +60,17 @@ inline PageHash HashString(std::string_view s) {
   return HashBytes(AsByteView(s));
 }
 
+// ---- Repository blocks ---------------------------------------------------
+
+/// A repository is one block file (docs/snapshot_store.md). Its first
+/// block is the header text; every later payload starts with one of these
+/// bytes. The entry codecs below write and check their own.
+enum class BlockKind : char {
+  kPage = 'P',
+  kArtifact = 'A',
+  kManifest = 'M',
+};
+
 // ---- Page-store entry ----------------------------------------------------
 
 /// One stored page: its content address plus the content-derived CarvedPage
@@ -71,7 +82,7 @@ struct PageStoreEntry {
   CarvedPage meta;
 };
 
-/// payload := hash(16) crc(u32) page_id(u32) object_id(u32) type(u8)
+/// payload := 'P' hash(16) crc(u32) page_id(u32) object_id(u32) type(u8)
 ///            record_count(u16) next_page(u32) lsn(u64) checksum_ok(u8)
 ///            page bytes
 void EncodePageEntry(const PageStoreEntry& entry, ByteView page,
@@ -95,7 +106,7 @@ struct PageArtifacts {
 
 /// Cache key: page content plus the decode context — the serialized schema
 /// (or lack of one) that drove typed decoding. Carve options are fixed per
-/// repository (repo.meta), so they are not part of the key.
+/// repository (its header), so they are not part of the key.
 struct ArtifactKey {
   PageHash page;
   PageHash context;
@@ -110,7 +121,7 @@ struct ArtifactKeyHasher {
   }
 };
 
-/// payload := page_hash(16) context_hash(16)
+/// payload := 'A' page_hash(16) context_hash(16)
 ///            record_count(u32) records  entry_count(u32) entries
 /// record  := object_id(u32) page_id(u32) slot(u16) status(u8) typed(u8)
 ///            row_id(u64) page_lsn(u64) values(row_codec record)
