@@ -96,15 +96,7 @@ Result<std::vector<HiddenRecord>> Steganographer::ExtractHidden(
     if (schema_it == carve.schemas.end()) continue;
     std::vector<ConstraintViolation> violations =
         FindViolations(carve, schema_it->second, r.values);
-    if (!violations.empty()) {
-      // The record outlives `carve` and its string pool, so its strings
-      // must own their bytes.
-      HiddenRecord hidden{r, std::move(violations)};
-      for (Value& v : hidden.record.values) {
-        if (v.is_interned()) v = Value::Str(std::string(v.as_string()));
-      }
-      out.push_back(std::move(hidden));
-    }
+    if (!violations.empty()) out.emplace_back(carve, r, std::move(violations));
   }
   return out;
 }

@@ -8,6 +8,7 @@
 #define DBFA_ANTIFORENSICS_STEGANOGRAPHY_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/carver.h"
@@ -22,8 +23,18 @@ struct ConstraintViolation {
 };
 
 struct HiddenRecord {
+  /// A record of `carve`, holding its pool.
+  HiddenRecord(const CarveResult& carve, CarvedRecord record,
+               std::vector<ConstraintViolation> violations)
+      : record(std::move(record)),
+        violations(std::move(violations)),
+        string_pools(carve.string_pool) {}
+
   CarvedRecord record;
   std::vector<ConstraintViolation> violations;
+  /// Keeps `record`'s values readable after the carve is gone
+  /// (docs/columnar_memory.md).
+  StringPoolSet string_pools;
 };
 
 class Steganographer {
@@ -40,8 +51,7 @@ class Steganographer {
 
   /// Retrieval: carve the image and return every *active* record whose
   /// values violate the declared constraints of its reconstructed schema
-  /// (domain length, NULL PK components, unmatched foreign keys). The
-  /// returned records own their string bytes.
+  /// (domain length, NULL PK components, unmatched foreign keys).
   Result<std::vector<HiddenRecord>> ExtractHidden(ByteView image) const;
 
  private:

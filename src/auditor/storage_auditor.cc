@@ -172,8 +172,7 @@ void StorageAuditor::VerifyBTree(const CarveResult& carve,
 }
 
 Result<AuditReport> StorageAuditor::AuditCarve(const CarveResult& carve) const {
-  AuditReport report;
-  report.string_pool = carve.string_pool;
+  AuditReport report(carve);
   for (const auto& [index_object, meta] : carve.indexes) {
     if (meta.dropped) continue;
     auto schema_it = carve.schemas.find(meta.table_object_id);

@@ -49,14 +49,17 @@ struct TamperFinding {
 };
 
 struct AuditReport {
+  /// Holds the pool of `carve`, the audited carve.
+  explicit AuditReport(const CarveResult& carve)
+      : string_pools(carve.string_pool) {}
+
   std::vector<BTreeIssue> index_issues;
   std::vector<TamperFinding> findings;
   size_t records_checked = 0;
   size_t pointers_checked = 0;
-  /// Keeps interned record/key values in the findings valid after the
-  /// audited CarveResult is gone (StringRef lifetime rule,
-  /// docs/columnar_memory.md).
-  std::shared_ptr<const StringPool> string_pool;
+  /// Keeps the record and key values in the findings readable after the
+  /// audited CarveResult is gone (docs/columnar_memory.md).
+  StringPoolSet string_pools;
 
   bool Clean() const { return index_issues.empty() && findings.empty(); }
   std::string ToString() const;

@@ -88,6 +88,25 @@ void FletcherUpdate(uint32_t* sum1, uint32_t* sum2, ByteView data) {
   *sum2 = b;
 }
 
+/// XOR-folds `data` into `x`: eight bytes per step, then the 64-bit word
+/// folded to one byte (XOR is associative, so word order does not matter).
+uint8_t XorUpdate(uint8_t x, ByteView data) {
+  const uint8_t* p = data.data();
+  size_t n = data.size();
+  uint64_t word = 0;
+  for (; n >= 8; p += 8, n -= 8) {
+    uint64_t chunk;
+    std::memcpy(&chunk, p, 8);
+    word ^= chunk;
+  }
+  word ^= word >> 32;
+  word ^= word >> 16;
+  word ^= word >> 8;
+  x ^= static_cast<uint8_t>(word);
+  for (size_t i = 0; i < n; ++i) x ^= p[i];
+  return x;
+}
+
 }  // namespace
 
 const char* ChecksumKindName(ChecksumKind kind) {
@@ -115,11 +134,7 @@ uint16_t Fletcher16(ByteView data) {
   return static_cast<uint16_t>((sum2 << 8) | sum1);
 }
 
-uint8_t Xor8(ByteView data) {
-  uint8_t x = 0;
-  for (size_t i = 0; i < data.size(); ++i) x ^= data[i];
-  return x;
-}
+uint8_t Xor8(ByteView data) { return XorUpdate(0, data); }
 
 size_t ChecksumWidth(ChecksumKind kind) {
   switch (kind) {
@@ -150,7 +165,7 @@ void ChecksumStream::Update(ByteView data) {
       FletcherUpdate(&a_, &b_, data);
       break;
     case ChecksumKind::kXor8:
-      for (size_t i = 0; i < data.size(); ++i) a_ ^= data[i];
+      a_ = XorUpdate(static_cast<uint8_t>(a_), data);
       break;
   }
 }

@@ -13,6 +13,14 @@ std::atomic<uint64_t> g_next_pool_id{1};
 
 constexpr size_t kInitialSlots = 64;  // power of two
 
+// Each thread's most recent interns, direct-mapped by hash, in front of the
+// shard locks: carved cells repeat heavily (status tags, enum-like
+// columns), so most Intern calls of a decode worker hit here and take no
+// lock. An entry serves only the pool whose id it carries, and pool ids are
+// never reused, so a hit always points into the live pool being asked.
+constexpr size_t kRecentSlots = 256;  // power of two
+thread_local StringRef t_recent[kRecentSlots];
+
 }  // namespace
 
 StringPool::StringPool(size_t shard_count) {
@@ -49,6 +57,11 @@ void StringPool::GrowLocked(Shard* sh) {
 
 StringRef StringPool::Intern(std::string_view s) {
   const size_t h = HashStringContent(s);
+  StringRef& recent = t_recent[h & (kRecentSlots - 1)];
+  if (recent.pool_id == pool_id_ && recent.hash == h &&
+      recent.len == s.size() && recent.view() == s) {
+    return recent;
+  }
   const size_t shard_index = ShardIndex(h);
   Shard& sh = *shards_[shard_index];
   MutexLock lock(&sh.mu);
@@ -56,7 +69,10 @@ StringRef StringPool::Intern(std::string_view s) {
   size_t i = h & mask;
   while (sh.slots[i] != kEmptySlot) {
     const StringRef& r = sh.entries[sh.slots[i]];
-    if (r.hash == h && r.len == s.size() && r.view() == s) return r;
+    if (r.hash == h && r.len == s.size() && r.view() == s) {
+      recent = r;
+      return r;
+    }
     i = (i + 1) & mask;
   }
   char* dst = sh.arena.Allocate(s.size(), /*align=*/1);
@@ -73,6 +89,7 @@ StringRef StringPool::Intern(std::string_view s) {
   sh.string_bytes += s.size();
   // Keep load factor under 0.7 (entries / slots, checked after insert).
   if (sh.entries.size() * 10 >= sh.slots.size() * 7) GrowLocked(&sh);
+  recent = ref;
   return ref;
 }
 
@@ -110,6 +127,18 @@ size_t StringPool::BytesUsed() const {
   Stats st = GetStats();
   return st.arena_bytes_reserved + st.table_bytes +
          st.shard_count * sizeof(Shard);
+}
+
+void StringPoolSet::Add(std::shared_ptr<const StringPool> pool) {
+  if (pool == nullptr || Holds(pool->pool_id())) return;
+  pools_.push_back(std::move(pool));
+}
+
+bool StringPoolSet::Holds(uint64_t pool_id) const {
+  for (const auto& pool : pools_) {
+    if (pool->pool_id() == pool_id) return true;
+  }
+  return false;
 }
 
 }  // namespace dbfa

@@ -17,6 +17,7 @@
 #include <memory>
 #include <optional>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/arena.h"
@@ -85,6 +86,29 @@ class StringPool {
   size_t shard_mask_;
   uint32_t shard_bits_;
   uint64_t pool_id_;
+};
+
+/// The pools a result's interned cells point into. Every public type that
+/// carries carved Values holds one, filled by the function that builds the
+/// result from its sources, so the result stays readable after those
+/// sources are gone (docs/columnar_memory.md).
+class StringPoolSet {
+ public:
+  StringPoolSet() = default;
+  explicit StringPoolSet(std::shared_ptr<const StringPool> pool) {
+    Add(std::move(pool));
+  }
+
+  /// Holds `pool` too; null and already-held pools are ignored.
+  void Add(std::shared_ptr<const StringPool> pool);
+
+  /// True when a held pool has this identity (StringRef::pool_id).
+  bool Holds(uint64_t pool_id) const;
+
+  size_t size() const { return pools_.size(); }
+
+ private:
+  std::vector<std::shared_ptr<const StringPool>> pools_;
 };
 
 }  // namespace dbfa

@@ -136,12 +136,12 @@ struct CarveResult {
   /// collections below, never stats.
   CarveStats stats;
 
-  /// Interned-string pool backing Value::InternedStr cells in `records`.
-  /// Null when carving with CarveOptions::intern_strings off, and for
-  /// results assembled from the snapshot artifact cache (those decode to
-  /// owning strings — equivalence checks compare content, so the two
-  /// representations are interchangeable). Shared so relations and query
-  /// results can keep borrowed refs alive past this result.
+  /// The pool every string cell of `records` and `index_entries` is
+  /// interned in; never null in a result the carver or a snapshot
+  /// repository returns. A carve has a pool of its own; every result a
+  /// SnapshotRepo assembles shares the repository's pool. Shared so the
+  /// results built from this carve can hold it (StringPoolSet) and stay
+  /// readable after it is gone.
   std::shared_ptr<StringPool> string_pool;
 
   std::vector<CarvedPage> pages;

@@ -82,9 +82,7 @@ Result<CarveResult> Carver::Carve(ByteView image, ThreadPool* pool) const {
   result.dialect = p.dialect;
   result.image_size = image.size();
   result.stats.bytes_scanned = image.size();
-  if (options_.intern_strings) {
-    result.string_pool = std::make_shared<StringPool>();
-  }
+  result.string_pool = std::make_shared<StringPool>();
 
   // Pass 1: page detection.
   auto detect_start = std::chrono::steady_clock::now();
@@ -170,7 +168,7 @@ void Carver::CarveContentRange(ByteView image, const CarveResult& base,
         break;
       case PageType::kIndexLeaf:
       case PageType::kIndexInternal:
-        CarveIndexPage(page, i, page_meta, entries);
+        CarveIndexPage(page, i, page_meta, pool, entries);
         break;
       case PageType::kFree:
         break;
@@ -327,12 +325,12 @@ void Carver::CarveDataPage(ByteView page, size_t page_index,
 }
 
 void Carver::CarveIndexPage(ByteView page, size_t page_index,
-                            const CarvedPage& page_meta,
+                            const CarvedPage& page_meta, StringPool* pool,
                             std::vector<CarvedIndexEntry>* out) const {
   for (uint16_t s = 0; s < page_meta.record_count; ++s) {
     auto slot = fmt_.GetSlot(page.data(), s);
     if (!slot.has_value()) continue;
-    auto entry = fmt_.ParseIndexEntryAt(page, slot->offset);
+    auto entry = fmt_.ParseIndexEntryAt(page, slot->offset, pool);
     if (!entry.ok()) continue;
     CarvedIndexEntry carved;
     carved.page_index = page_index;

@@ -46,11 +46,6 @@ struct CarveOptions {
   /// sizes chunks automatically from the image and thread count. Exposed
   /// mainly so tests can force pages onto chunk edges.
   size_t chunk_pages = 0;
-  /// Intern string cells of carved records into a per-result StringPool
-  /// (CarveResult::string_pool): each distinct value is stored once in an
-  /// arena instead of one heap std::string per cell. Off gives
-  /// self-contained owning records (the benches' allocation baseline).
-  bool intern_strings = true;
 };
 
 class Carver {
@@ -62,7 +57,8 @@ class Carver {
   /// Reconstructs all artifacts of this config's dialect from `image`.
   /// With a `pool` of more than one worker, page detection and content
   /// decoding fan out over it; the artifacts are identical for every pool
-  /// (docs/parallel_carving.md).
+  /// (docs/parallel_carving.md). String cells of records and index keys
+  /// are interned into the result's own CarveResult::string_pool.
   Result<CarveResult> Carve(ByteView image, ThreadPool* pool = nullptr) const;
 
   /// Runs one carver per candidate config over the same image (multi-DBMS
@@ -102,7 +98,7 @@ class Carver {
                      const TableSchema* schema, StringPool* pool,
                      std::vector<CarvedRecord>* out) const;
   void CarveIndexPage(ByteView page, size_t page_index,
-                      const CarvedPage& meta,
+                      const CarvedPage& meta, StringPool* pool,
                       std::vector<CarvedIndexEntry>* out) const;
 
   friend class SnapshotRepo;  // store-first detection + per-page decode

@@ -272,8 +272,7 @@ Result<std::unique_ptr<MetaQuerySession>> DbDetective::MakeMetaQuerySession(
 }
 
 Result<DetectiveReport> DbDetective::Analyze() const {
-  DetectiveReport report;
-  report.string_pool = disk_->string_pool;
+  DetectiveReport report(*disk_);
   // One index serves both analyses.
   const AuditLogIndex index(*log_);
   report.modifications =

@@ -57,15 +57,19 @@ struct UnloggedAccess {
 };
 
 struct DetectiveReport {
+  DetectiveReport() = default;
+  /// Holds the pool of `disk`, the carve the findings' values come from.
+  explicit DetectiveReport(const CarveResult& disk)
+      : string_pools(disk.string_pool) {}
+
   std::vector<UnattributedModification> modifications;
   std::vector<UnloggedAccess> reads;
   /// Statistics for precision/recall accounting.
   size_t deleted_records_checked = 0;
   size_t active_records_checked = 0;
-  /// Keeps interned record values in `modifications` valid after the
-  /// analyzed carves are gone (StringRef lifetime rule,
-  /// docs/columnar_memory.md).
-  std::shared_ptr<const StringPool> string_pool;
+  /// Keeps the values in `modifications` readable after the analyzed
+  /// carves are gone (docs/columnar_memory.md).
+  StringPoolSet string_pools;
 
   bool Clean() const { return modifications.empty() && reads.empty(); }
   std::string ToString() const;

@@ -29,6 +29,12 @@ class Relation {
   virtual const std::vector<Record>* materialized_rows() const {
     return nullptr;
   }
+  /// The pool this relation's interned cells point into; a query that
+  /// reads the relation holds it in its QueryTable. Null for relations of
+  /// owned values.
+  virtual std::shared_ptr<const StringPool> string_pool() const {
+    return nullptr;
+  }
 };
 
 /// Materialized relation.
@@ -65,9 +71,10 @@ class ArtifactRelation : public VectorRelation {
       : VectorRelation(std::move(columns), std::move(rows)),
         pool_(std::move(pool)) {}
 
-  /// The interning pool backing this relation's string cells; null when the
-  /// carve ran with intern_strings off.
-  const StringPool* string_pool() const { return pool_.get(); }
+  /// The carve's pool, which backs this relation's string cells.
+  std::shared_ptr<const StringPool> string_pool() const override {
+    return pool_;
+  }
 
  private:
   std::shared_ptr<const StringPool> pool_;

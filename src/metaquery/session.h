@@ -34,6 +34,9 @@ namespace dbfa {
 struct QueryTable {
   std::vector<std::string> columns;
   std::vector<Record> rows;
+  /// The pools of the relations the query read, so `rows` stay readable
+  /// after the session and its carves are gone (docs/columnar_memory.md).
+  StringPoolSet string_pools;
 
   /// Fixed-width text rendering for reports and examples.
   std::string ToText(size_t max_rows = 50) const;

@@ -1294,9 +1294,13 @@ Result<QueryTable> ExecuteOutOfCore(const sql::SelectStmt& stmt,
   // upstream errors keep the precedence they have in the reference
   // executor, where every stage input is materialized before the stage
   // runs.
+  // The pools of every relation read: rows can carry their interned cells
+  // into the result.
+  StringPoolSet pools;
   auto result = [&]() -> Result<QueryTable> {
     // ---- FROM: the pipeline's driving input --------------------------
     DBFA_ASSIGN_OR_RETURN(auto base, lookup(stmt.from.table));
+    pools.Add(base->string_pool());
     FrameSet frames;
     frames.Add(stmt.from.EffectiveName(), base->columns());
     Pipeline pipe;
@@ -1311,6 +1315,7 @@ Result<QueryTable> ExecuteOutOfCore(const sql::SelectStmt& stmt,
     for (size_t j = 0; j < stmt.joins.size(); ++j) {
       const sql::JoinClause& join = stmt.joins[j];
       DBFA_ASSIGN_OR_RETURN(auto right, lookup(join.table.table));
+      pools.Add(right->string_pool());
       FrameSet right_frame;
       right_frame.Add(join.table.EffectiveName(), right->columns());
       size_t left_idx = 0;
@@ -1394,6 +1399,7 @@ Result<QueryTable> ExecuteOutOfCore(const sql::SelectStmt& stmt,
     return collector.Finish();
   }();
   if (stats != nullptr) *stats = manager.stats();
+  if (result.ok()) result->string_pools = std::move(pools);
   return result;
 }
 

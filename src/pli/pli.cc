@@ -62,7 +62,9 @@ Result<PhysicalLocationIndex> PhysicalLocationIndex::Build(
     if (static_cast<size_t>(ci) >= r->values.size()) continue;
     page_values.emplace_back(r->page_id, r->values[ci]);
   }
-  return FromOrderedRows(page_values, pages_per_bucket);
+  PhysicalLocationIndex pli = FromOrderedRows(page_values, pages_per_bucket);
+  pli.string_pools_ = StringPoolSet(carve.string_pool);
+  return pli;
 }
 
 Result<PhysicalLocationIndex> PhysicalLocationIndex::BuildFromDatabase(

@@ -44,6 +44,9 @@ class PhysicalLocationIndex {
   std::vector<uint32_t> LookupPages(const Value& lo, const Value& hi) const;
 
   const std::vector<PliBucket>& buckets() const { return buckets_; }
+  /// Holds the pool of the carve Build read, so bucket bounds stay
+  /// readable after it is gone (docs/columnar_memory.md).
+  const StringPoolSet& string_pools() const { return string_pools_; }
   size_t total_pages() const { return total_pages_; }
   size_t total_rows() const { return total_rows_; }
 
@@ -57,6 +60,7 @@ class PhysicalLocationIndex {
       size_t pages_per_bucket);
 
   std::vector<PliBucket> buckets_;
+  StringPoolSet string_pools_;
   size_t total_pages_ = 0;
   size_t total_rows_ = 0;
 };

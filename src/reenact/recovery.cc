@@ -113,7 +113,7 @@ std::string RecoveryScript::ToString() const {
 
 Result<RecoveryScript> RecoveryPlanner::Plan(const AuditLog& log,
                                              const CarveResult& disk) const {
-  RecoveryScript script;
+  RecoveryScript script(disk);
   DBFA_ASSIGN_OR_RETURN(ReenactedState state, reenactor_->Replay(log));
   DBFA_ASSIGN_OR_RETURN(auto claimed_tables,
                         ActiveRowsByTable(state.db.get()));

@@ -43,8 +43,15 @@ struct RowCorruption {
 /// extraneous rows leave before their legitimate versions return, so the
 /// script replays cleanly even under primary-key uniqueness.
 struct RecoveryScript {
+  /// Holds the pool of `disk`, the carve the `actual` rows come from.
+  explicit RecoveryScript(const CarveResult& disk)
+      : string_pools(disk.string_pool) {}
+
   std::vector<RowCorruption> corruptions;
   std::vector<std::string> statements;
+  /// Keeps the `actual` rows readable after the carve is gone
+  /// (docs/columnar_memory.md).
+  StringPoolSet string_pools;
 
   /// Storage already matches the claimed state.
   bool Clean() const { return corruptions.empty(); }

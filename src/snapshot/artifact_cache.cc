@@ -26,7 +26,7 @@ Result<std::shared_ptr<const PageArtifacts>> ArtifactCache::Get(
   ArtifactKey stored_key;
   auto artifacts = std::make_shared<PageArtifacts>();
   DBFA_RETURN_IF_ERROR(
-      DecodeArtifactEntry(payload, &stored_key, artifacts.get()));
+      DecodeArtifactEntry(payload, pool_, &stored_key, artifacts.get()));
   if (!(stored_key == key)) {
     return Status::Corruption("artifact cache: entry key changed on disk");
   }
@@ -35,15 +35,20 @@ Result<std::shared_ptr<const PageArtifacts>> ArtifactCache::Get(
   return it->second.decoded;
 }
 
-Status ArtifactCache::Put(const ArtifactKey& key,
-                          const PageArtifacts& artifacts) {
+Result<std::shared_ptr<const PageArtifacts>> ArtifactCache::Put(
+    const ArtifactKey& key, PageArtifacts artifacts) {
   auto it = index_.find(key);
-  if (it != index_.end()) return Status::Ok();
+  if (it != index_.end()) return Get(key);
   std::string payload;
   EncodeArtifactEntry(key, artifacts, &payload);
   DBFA_ASSIGN_OR_RETURN(uint64_t offset, file_->Append(payload));
-  index_.emplace(key, Slot{offset, std::make_shared<PageArtifacts>(artifacts)});
-  return Status::Ok();
+  // The memo keeps every entry for the repository's lifetime, so drop the
+  // decode's growth slack; the records move, their values are not copied.
+  artifacts.records.shrink_to_fit();
+  artifacts.index_entries.shrink_to_fit();
+  auto decoded = std::make_shared<const PageArtifacts>(std::move(artifacts));
+  index_.emplace(key, Slot{offset, decoded});
+  return decoded;
 }
 
 }  // namespace dbfa

@@ -12,7 +12,9 @@
 // never returned, merely left unreferenced.
 //
 // Entries are decoded lazily and memoized, so reopening a large repository
-// costs one index pass over the file, not a full artifact decode.
+// costs one index pass over the file, not a full artifact decode. Decoded
+// string cells are interned into the repository's pool, so memoized
+// artifacts hold refs and assembly copies them without allocating.
 // Single-orchestrator contract, like PageStore.
 #ifndef DBFA_SNAPSHOT_ARTIFACT_CACHE_H_
 #define DBFA_SNAPSHOT_ARTIFACT_CACHE_H_
@@ -29,9 +31,11 @@ namespace dbfa {
 
 class ArtifactCache {
  public:
-  /// An empty cache over `file`, which must outlive it. Artifact blocks
-  /// reach the index through Load (a scan of the file) or Put.
-  explicit ArtifactCache(BlockFile* file) : file_(file) {}
+  /// An empty cache over `file`; decodes intern into `pool`. Both must
+  /// outlive it. Artifact blocks reach the index through Load (a scan of
+  /// the file) or Put.
+  ArtifactCache(BlockFile* file, StringPool* pool)
+      : file_(file), pool_(pool) {}
 
   /// Indexes the artifact block at `offset`, given its payload; only the
   /// key is decoded.
@@ -56,10 +60,13 @@ class ArtifactCache {
   /// accesses return the memoized decode.
   Result<std::shared_ptr<const PageArtifacts>> Get(const ArtifactKey& key);
 
-  /// Inserts artifacts for `key` (no-op when already present). The given
-  /// artifacts are memoized as-is, so callers must pass them already in
-  /// canonical form: page_index == 0 on every record and index entry.
-  Status Put(const ArtifactKey& key, const PageArtifacts& artifacts);
+  /// Inserts artifacts for `key` (no-op when already present) and returns
+  /// the memoized entry. The given artifacts are memoized as-is, so
+  /// callers must pass them already in canonical form (page_index == 0 on
+  /// every record and index entry), with strings interned in the cache's
+  /// pool.
+  Result<std::shared_ptr<const PageArtifacts>> Put(const ArtifactKey& key,
+                                                   PageArtifacts artifacts);
 
  private:
   struct Slot {
@@ -68,6 +75,7 @@ class ArtifactCache {
   };
 
   BlockFile* file_;
+  StringPool* pool_;
   std::unordered_map<ArtifactKey, Slot, ArtifactKeyHasher> index_;
   size_t decodes_ = 0;
 };

@@ -286,8 +286,8 @@ Status DecodeArtifactKey(std::string_view payload, ArtifactKey* key) {
   return Status::Ok();
 }
 
-Status DecodeArtifactEntry(std::string_view payload, ArtifactKey* key,
-                           PageArtifacts* artifacts) {
+Status DecodeArtifactEntry(std::string_view payload, StringPool* pool,
+                           ArtifactKey* key, PageArtifacts* artifacts) {
   size_t pos = 0;
   DBFA_RETURN_IF_ERROR(TakeKind(payload, &pos, BlockKind::kArtifact));
   DBFA_RETURN_IF_ERROR(TakeHash(payload, &pos, &key->page));
@@ -320,7 +320,7 @@ Status DecodeArtifactEntry(std::string_view payload, ArtifactKey* key,
     r.typed = typed != 0;
     DBFA_RETURN_IF_ERROR(TakeU64(payload, &pos, &r.row_id));
     DBFA_RETURN_IF_ERROR(TakeU64(payload, &pos, &r.page_lsn));
-    DBFA_RETURN_IF_ERROR(sql::DecodeRecord(payload, &pos, &r.values));
+    DBFA_RETURN_IF_ERROR(sql::DecodeRecord(payload, &pos, &r.values, pool));
     artifacts->records.push_back(std::move(r));
   }
   uint32_t entry_count = 0;
@@ -342,9 +342,7 @@ Status DecodeArtifactEntry(std::string_view payload, ArtifactKey* key,
     e.leaf = leaf != 0;
     DBFA_RETURN_IF_ERROR(TakeU32(payload, &pos, &e.pointer.page_id));
     DBFA_RETURN_IF_ERROR(TakeU16(payload, &pos, &e.pointer.slot));
-    Record keys;
-    DBFA_RETURN_IF_ERROR(sql::DecodeRecord(payload, &pos, &keys));
-    e.keys = std::move(keys);
+    DBFA_RETURN_IF_ERROR(sql::DecodeRecord(payload, &pos, &e.keys, pool));
     artifacts->index_entries.push_back(std::move(e));
   }
   if (pos != payload.size()) {

@@ -127,10 +127,11 @@ struct ArtifactKeyHasher {
 ///            row_id(u64) page_lsn(u64) values(row_codec record)
 /// entry   := object_id(u32) page_id(u32) leaf(u8) ptr_page(u32)
 ///            ptr_slot(u16) keys(row_codec record)
+/// Decoding interns every string cell into `pool`, like the carver.
 void EncodeArtifactEntry(const ArtifactKey& key, const PageArtifacts& artifacts,
                          std::string* out);
-Status DecodeArtifactEntry(std::string_view payload, ArtifactKey* key,
-                           PageArtifacts* artifacts);
+Status DecodeArtifactEntry(std::string_view payload, StringPool* pool,
+                           ArtifactKey* key, PageArtifacts* artifacts);
 
 /// Decodes only the leading key of an artifact entry — what the cache's
 /// open-time index scan needs, skipping the artifact decode itself.

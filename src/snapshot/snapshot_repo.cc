@@ -303,8 +303,9 @@ SnapshotRepo::SnapshotRepo(std::string dir, CarverConfig config,
       options_(options),
       carver_(config_, options_),
       file_(std::move(file)),
+      string_pool_(std::make_shared<StringPool>()),
       page_store_(&file_, config_.params.page_size),
-      artifact_cache_(&file_) {}
+      artifact_cache_(&file_, string_pool_.get()) {}
 
 Result<std::unique_ptr<SnapshotRepo>> SnapshotRepo::Create(
     const std::string& dir, const CarverConfig& config,
@@ -560,6 +561,10 @@ Result<FsckReport> SnapshotRepo::Fsck(const std::string& dir) {
     }
   };
 
+  // Artifact decodes intern like the repository's; only their status is
+  // kept.
+  StringPool scratch_pool;
+
   // One walk over the committed blocks, each checked by its kind. A short
   // final block never committed and is not a defect (Open drops it); a
   // framing failure ends the walk, since byte boundaries past it are
@@ -579,7 +584,8 @@ Result<FsckReport> SnapshotRepo::Fsck(const std::string& dir) {
             ++report.artifacts_checked;
             ArtifactKey key;
             PageArtifacts artifacts;
-            Status decoded = DecodeArtifactEntry(payload, &key, &artifacts);
+            Status decoded =
+                DecodeArtifactEntry(payload, &scratch_pool, &key, &artifacts);
             if (!decoded.ok()) {
               issue(StrFormat("%s: %s", at(offset).c_str(),
                               decoded.ToString().c_str()));
@@ -674,6 +680,7 @@ Result<IngestStats> SnapshotRepo::Ingest(ByteView image) {
   result.dialect = p.dialect;
   result.image_size = image.size();
   result.stats.bytes_scanned = image.size();
+  result.string_pool = string_pool_;  // the content pass interns here
 
   Snapshot snap;
   snap.id = stats.snapshot_id;
@@ -778,11 +785,12 @@ Result<IngestStats> SnapshotRepo::Ingest(ByteView image) {
   }
 
   for (size_t i : misses) {
-    PageArtifacts canonical = std::move(slots[i]);
+    PageArtifacts& canonical = slots[i];
     for (CarvedRecord& r : canonical.records) r.page_index = 0;
     for (CarvedIndexEntry& e : canonical.index_entries) e.page_index = 0;
     ArtifactKey key{snap.pages[i]->entry.hash, contexts[i]};
-    DBFA_RETURN_IF_ERROR(artifact_cache_.Put(key, canonical));
+    DBFA_RETURN_IF_ERROR(
+        artifact_cache_.Put(key, std::move(canonical)).status());
   }
   result.stats.content_seconds = SecondsSince(content_start);
   stats.content_seconds = result.stats.content_seconds;
@@ -823,6 +831,7 @@ Result<CarveResult> SnapshotRepo::Assemble(
   result.dialect = p.dialect;
   result.image_size = snap.image_size;
   result.stats.bytes_scanned = snap.image_size;
+  result.string_pool = string_pool_;  // cached artifacts' refs point here
   result.pages.reserve(snap.pages.size());
   for (size_t i = 0; i < snap.pages.size(); ++i) {
     CarvedPage meta = snap.pages[i]->entry.meta;
@@ -866,24 +875,23 @@ Result<CarveResult> SnapshotRepo::Assemble(
   CarveResult one;  // reusable single-page decode base
   one.dialect = result.dialect;
   one.schemas = result.schemas;
+  one.string_pool = string_pool_;
   one.pages.resize(1);
   for (size_t i : content_pages) {
     PageHash context;
     if (!ContextFor(result, context_set, i, &context)) continue;
     ArtifactKey key{snap.pages[i]->entry.hash, context};
-    DBFA_ASSIGN_OR_RETURN(std::shared_ptr<const PageArtifacts> cached,
+    DBFA_ASSIGN_OR_RETURN(std::shared_ptr<const PageArtifacts> arts,
                           artifact_cache_.Get(key));
-    const PageArtifacts* arts = cached.get();
-    PageArtifacts decoded;
     if (arts == nullptr) {
       Bytes page;
       DBFA_RETURN_IF_ERROR(page_store_.ReadPage(*snap.pages[i], &page));
       one.pages[0] = result.pages[i];
       one.pages[0].image_offset = 0;
+      PageArtifacts decoded;
       carver_.CarveContentRange(ByteView(page), one, 0, 1, &decoded.records,
                                 &decoded.index_entries);
-      DBFA_RETURN_IF_ERROR(artifact_cache_.Put(key, decoded));
-      arts = &decoded;
+      DBFA_ASSIGN_OR_RETURN(arts, artifact_cache_.Put(key, std::move(decoded)));
     }
     for (const CarvedRecord& r : arts->records) {
       result.records.push_back(r);
@@ -953,7 +961,14 @@ Result<RecordHistory> SnapshotRepo::History(const std::string& table,
                                             const Record& values) {
   RecordHistory history;
   history.table = table;
-  history.values = values;
+  history.string_pools = StringPoolSet(string_pool_);
+  history.values.reserve(values.size());
+  for (const Value& v : values) {
+    history.values.push_back(
+        v.type() == ValueType::kString
+            ? Value::InternedStr(string_pool_->Intern(v.as_string()))
+            : v);
+  }
   for (const Snapshot& snap : snapshots_) {
     DBFA_ASSIGN_OR_RETURN(CarveResult carve, AssembleCarve(snap.id));
     uint32_t object_id = carve.ObjectIdByName(table);
@@ -1001,7 +1016,7 @@ Result<IncrementalDetection> SnapshotRepo::DetectIncremental(
   // Pages, catalog and schemas cover the whole target (page_index stays
   // valid); records are materialized for the delta only.
   DBFA_ASSIGN_OR_RETURN(CarveResult carve, Assemble(*target, changed));
-  IncrementalDetection out;
+  IncrementalDetection out(carve);
   out.base_id = base_id;
   out.target_id = target_id;
   out.pages_rematched = changed.size();

@@ -103,7 +103,8 @@ struct SnapshotDiff {
 /// Where one record's exact values were seen across the snapshot sequence.
 struct RecordHistory {
   std::string table;
-  Record values;
+  Record values;  // interned in the repository's pool
+  StringPoolSet string_pools;  // the repository's pool
   uint64_t first_seen = 0;  // snapshot id; 0 = never seen
   uint64_t last_seen = 0;
   std::vector<uint64_t> seen_in;  // ascending snapshot ids
@@ -116,6 +117,11 @@ struct RecordHistory {
 /// the audit log — records on unchanged pages were vetted when the base
 /// snapshot was analyzed, and unchanged bytes cannot change the verdict.
 struct IncrementalDetection {
+  /// Holds the pool of `carve`, the assembly the findings' values come
+  /// from.
+  explicit IncrementalDetection(const CarveResult& carve)
+      : string_pools(carve.string_pool) {}
+
   uint64_t base_id = 0;
   uint64_t target_id = 0;
   size_t pages_rematched = 0;
@@ -123,6 +129,7 @@ struct IncrementalDetection {
   size_t deleted_checked = 0;
   size_t active_checked = 0;
   std::vector<UnattributedModification> modifications;
+  StringPoolSet string_pools;  // the repository's pool
 
   std::string ToString() const;
 };
@@ -201,7 +208,8 @@ class SnapshotRepo {
   Result<SnapshotDiff> Diff(uint64_t base_id, uint64_t target_id) const;
 
   /// First/last snapshot containing an exact-valued record of `table`
-  /// (active or deleted; matches both typed and raw-scan recoveries).
+  /// (active or deleted; matches both typed and raw-scan recoveries). The
+  /// history's copy of `values` is interned in the repository's pool.
   Result<RecordHistory> History(const std::string& table,
                                 const Record& values);
 
@@ -299,6 +307,11 @@ class SnapshotRepo {
   CarveOptions options_;
   Carver carver_;
   BlockFile file_;  // repo.bin, locked for the repository's lifetime
+  /// Every string the repository decodes is interned here: Ingest's
+  /// content pass, Assemble's cache misses and the artifact cache's lazy
+  /// decodes. Shared by every result the repository returns, so those
+  /// outlive it; grows with the distinct strings seen, never shrinks.
+  std::shared_ptr<StringPool> string_pool_;
   PageStore page_store_;
   ArtifactCache artifact_cache_;
   std::vector<Snapshot> snapshots_;  // ascending id

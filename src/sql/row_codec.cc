@@ -53,7 +53,8 @@ namespace {
 /// Pointer-based decode core shared by DecodeValue and DecodeRecord: the
 /// spill read path decodes every spilled row once per pass, so this loop
 /// avoids per-field string_view slicing and position bookkeeping.
-Status DecodeValueAt(const uint8_t** cursor, const uint8_t* end, Value* out) {
+Status DecodeValueAt(const uint8_t** cursor, const uint8_t* end, Value* out,
+                     StringPool* pool) {
   const uint8_t* p = *cursor;
   if (p == end) return Status::Corruption("row codec: truncated input");
   uint8_t tag = *p++;
@@ -78,7 +79,9 @@ Status DecodeValueAt(const uint8_t** cursor, const uint8_t* end, Value* out) {
       if (static_cast<size_t>(end - p) < len) {
         return Status::Corruption("row codec: truncated input");
       }
-      *out = Value::Str(std::string(reinterpret_cast<const char*>(p), len));
+      std::string_view bytes(reinterpret_cast<const char*>(p), len);
+      *out = pool != nullptr ? Value::InternedStr(pool->Intern(bytes))
+                             : Value::Str(std::string(bytes));
       p += len;
       break;
     }
@@ -98,12 +101,13 @@ Status DecodeValue(std::string_view buf, size_t* pos, Value* out) {
   }
   const uint8_t* p = reinterpret_cast<const uint8_t*>(buf.data()) + *pos;
   const uint8_t* end = reinterpret_cast<const uint8_t*>(buf.data()) + buf.size();
-  DBFA_RETURN_IF_ERROR(DecodeValueAt(&p, end, out));
+  DBFA_RETURN_IF_ERROR(DecodeValueAt(&p, end, out, nullptr));
   *pos = static_cast<size_t>(p - reinterpret_cast<const uint8_t*>(buf.data()));
   return Status::Ok();
 }
 
-Status DecodeRecord(std::string_view buf, size_t* pos, Record* out) {
+Status DecodeRecord(std::string_view buf, size_t* pos, Record* out,
+                    StringPool* pool) {
   if (*pos > buf.size() || buf.size() - *pos < 4) {
     return Status::Corruption("row codec: truncated input");
   }
@@ -120,7 +124,7 @@ Status DecodeRecord(std::string_view buf, size_t* pos, Record* out) {
   out->reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     Value v;
-    DBFA_RETURN_IF_ERROR(DecodeValueAt(&p, end, &v));
+    DBFA_RETURN_IF_ERROR(DecodeValueAt(&p, end, &v, pool));
     out->push_back(std::move(v));
   }
   *pos = static_cast<size_t>(p - reinterpret_cast<const uint8_t*>(buf.data()));

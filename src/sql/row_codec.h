@@ -22,6 +22,7 @@
 #include <string_view>
 
 #include "common/status.h"
+#include "common/string_pool.h"
 #include "storage/value.h"
 
 namespace dbfa::sql {
@@ -30,9 +31,12 @@ namespace dbfa::sql {
 void AppendValue(const Value& v, std::string* out);
 void AppendRecord(const Record& r, std::string* out);
 
-/// Decodes one value / record at *pos, advancing *pos past it.
+/// Decodes one value / record at *pos, advancing *pos past it. A record's
+/// strings are interned into `pool` when it is non-null (the snapshot
+/// store's carved records), owned otherwise (spilled query rows).
 Status DecodeValue(std::string_view buf, size_t* pos, Value* out);
-Status DecodeRecord(std::string_view buf, size_t* pos, Record* out);
+Status DecodeRecord(std::string_view buf, size_t* pos, Record* out,
+                    StringPool* pool = nullptr);
 
 /// Deterministic estimate of a record's in-memory footprint, used for
 /// spill-budget accounting. A pure function of the record's values (never

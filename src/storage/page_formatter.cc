@@ -829,7 +829,7 @@ Bytes PageFormatter::EncodeInternalEntry(const std::vector<Value>& keys,
 #endif
 
 Result<ParsedIndexEntry> PageFormatter::ParseIndexEntryAt(
-    ByteView page, uint16_t offset) const {
+    ByteView page, uint16_t offset, StringPool* pool) const {
   size_t pos = offset;
   if (pos + 4 > page.size() || page[pos] != p_.index_entry_marker) {
     return Status::Corruption("bad index entry marker");
@@ -877,8 +877,7 @@ Result<ParsedIndexEntry> PageFormatter::ParseIndexEntryAt(
             std::bit_cast<double>(ReadU64(page.data() + pos, p_.big_endian))));
         break;
       case ValueType::kString:
-        entry.keys.push_back(Value::Str(std::string(
-            page.data() + pos, page.data() + pos + len)));
+        entry.keys.push_back(MakeStringValue(page.Slice(pos, len), pool));
         break;
       default:
         return Status::Corruption("bad index key type tag");

@@ -175,8 +175,11 @@ class PageFormatter {
 
   /// Resolves raw fields to typed values using a known schema. When `pool`
   /// is non-null, string cells are interned into it (Value::InternedStr —
-  /// no per-cell heap allocation, repeated values stored once); the pool
-  /// must then outlive the returned Record.
+  /// no per-cell heap allocation, repeated values stored once), and a
+  /// result built from the Record must hold the pool (StringPoolSet). The
+  /// carver always passes its result's pool; a null `pool` gives owned
+  /// strings, which the engine's own table scans use: their rows are live
+  /// data, not carved evidence.
   Result<Record> DecodeTyped(const ParsedRecord& rec, const TableSchema& schema,
                              StringPool* pool = nullptr) const;
 
@@ -197,8 +200,10 @@ class PageFormatter {
                         RowPointer pointer) const;
   Bytes EncodeInternalEntry(const std::vector<Value>& keys,
                             uint32_t child_page) const;
-  Result<ParsedIndexEntry> ParseIndexEntryAt(ByteView page,
-                                             uint16_t offset) const;
+  /// Parses the index entry at `offset`. Same `pool` contract as
+  /// DecodeTyped for string keys.
+  Result<ParsedIndexEntry> ParseIndexEntryAt(ByteView page, uint16_t offset,
+                                             StringPool* pool = nullptr) const;
 
   /// Encodes/decodes a row pointer in the dialect's PointerFormat.
   void AppendPointer(Bytes* out, RowPointer ptr) const;

@@ -40,8 +40,9 @@ class Value {
   static Value Int(int64_t v) { return Value(v); }
   static Value Real(double v) { return Value(v); }
   static Value Str(std::string v) { return Value(std::move(v)); }
-  /// A string interned in a StringPool. The pool must outlive the value
-  /// (carve results keep their pool alive via CarveResult::string_pool).
+  /// A string interned in a StringPool. The pool must outlive the value:
+  /// a carve holds its CarveResult::string_pool, and every result built
+  /// from carved values holds a StringPoolSet.
   static Value InternedStr(const StringRef& r) { return Value(r); }
 
   ValueType type() const {

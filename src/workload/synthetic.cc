@@ -1,5 +1,7 @@
 #include "workload/synthetic.h"
 
+#include <algorithm>
+
 #include "common/strings.h"
 
 namespace dbfa {
@@ -125,6 +127,41 @@ Status WithRawPage(Database* db, uint32_t object_id, uint32_t page_id,
 }
 
 }  // namespace
+
+Result<Bytes> StringHeavyOrdersImage(int rows) {
+  DatabaseOptions options;
+  options.dialect = "postgres_like";
+  options.buffer_pool_pages = std::max(512, rows / 20);
+  DBFA_ASSIGN_OR_RETURN(auto db, Database::Open(options));
+  DBFA_RETURN_IF_ERROR(
+      db->ExecuteSql("CREATE TABLE Orders (OID INT NOT NULL, Customer "
+                     "VARCHAR(32), City VARCHAR(32), Note VARCHAR(32), Status "
+                     "VARCHAR(24), Channel VARCHAR(24), Region VARCHAR(24), "
+                     "Clerk VARCHAR(24), Terminal VARCHAR(24), Carrier "
+                     "VARCHAR(24), Origin VARCHAR(24), Handler VARCHAR(24), "
+                     "Amount DOUBLE, PRIMARY KEY (OID))")
+          .status());
+  for (int i = 1; i <= rows;) {
+    std::string sql = "INSERT INTO Orders VALUES ";
+    for (int j = 0; j < 250 && i <= rows; ++j, ++i) {
+      if (j > 0) sql += ", ";
+      sql += StrFormat(
+          "(%d, 'customer-account-%08d', 'metropolitan-district-%02d', "
+          "'priority-handling-%03d', 'status-confirmed-%d', "
+          "'channel-point-of-sale-%d', 'region-northwest-%02d', "
+          "'clerk-identifier-%03d', 'terminal-station-%03d', "
+          "'carrier-overnight-%02d', 'origin-warehouse-%02d', "
+          "'handler-rotation-%02d', %d.25)",
+          i, i, i % 24, i % 50, i % 4, i % 6, i % 12, i % 120, i % 200,
+          i % 16, i % 32, i % 48, i % 400);
+    }
+    DBFA_RETURN_IF_ERROR(db->ExecuteSql(sql).status());
+  }
+  DBFA_RETURN_IF_ERROR(
+      db->ExecuteSql(StrFormat("DELETE FROM Orders WHERE OID < %d", rows / 5))
+          .status());
+  return db->SnapshotDisk();
+}
 
 Status TamperOverwriteField(Database* db, const std::string& table,
                             RowPointer ptr, const std::string& column,

@@ -59,6 +59,12 @@ class SyntheticWorkload {
   std::vector<AppliedOp> history_;
 };
 
+/// Disk image of a string-heavy audit-trail table (EXPERIMENTS.md E15):
+/// Orders with `rows` rows of eleven VARCHAR cells each, every cell past
+/// the 15-byte SSO bound, then the first fifth of the rows deleted. Most
+/// columns repeat heavily; Customer is distinct per row.
+Result<Bytes> StringHeavyOrdersImage(int rows);
+
 // ---- byte-level tampering (Section III-B attacks) ---------------------------
 
 /// Overwrites one column of a live record directly in the storage file,

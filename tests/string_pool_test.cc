@@ -163,5 +163,22 @@ TEST(StringPoolTest, DistinctPoolsHaveDistinctIdentity) {
   EXPECT_NE(va.interned_ref().pool_id, vb.interned_ref().pool_id);
 }
 
+TEST(StringPoolTest, PoolSetHoldsEachPoolOnceAndKeepsItAlive) {
+  auto a = std::make_shared<StringPool>();
+  auto b = std::make_shared<StringPool>();
+  StringRef ref = a->Intern("held");
+  StringPoolSet set(a);
+  set.Add(a);
+  set.Add(nullptr);
+  EXPECT_EQ(set.size(), 1u);
+  EXPECT_TRUE(set.Holds(a->pool_id()));
+  EXPECT_FALSE(set.Holds(b->pool_id()));
+  set.Add(b);
+  EXPECT_EQ(set.size(), 2u);
+  EXPECT_TRUE(set.Holds(b->pool_id()));
+  a.reset();  // the set's reference keeps the pool and its bytes alive
+  EXPECT_EQ(ref.view(), "held");
+}
+
 }  // namespace
 }  // namespace dbfa
