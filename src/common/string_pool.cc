@@ -14,10 +14,10 @@ std::atomic<uint64_t> g_next_pool_id{1};
 constexpr size_t kInitialSlots = 64;  // power of two
 
 // Each thread's most recent interns, direct-mapped by hash, in front of the
-// shard locks: carved cells repeat heavily (status tags, enum-like
-// columns), so most Intern calls of a decode worker hit here and take no
-// lock. An entry serves only the pool whose id it carries, and pool ids are
-// never reused, so a hit always points into the live pool being asked.
+// shard locks: carved cells repeat (status tags, enum-like columns), and a
+// hit here skips the shard lock and the table probe. An entry serves only
+// the pool whose id it carries, and pool ids are never reused, so a hit
+// always points into the live pool being asked.
 constexpr size_t kRecentSlots = 256;  // power of two
 thread_local StringRef t_recent[kRecentSlots];
 
@@ -55,14 +55,13 @@ void StringPool::GrowLocked(Shard* sh) {
   sh->slots.swap(slots);
 }
 
-StringRef StringPool::Intern(std::string_view s) {
-  const size_t h = HashStringContent(s);
+StringRef StringPool::InternHashed(std::string_view s, size_t h) {
   StringRef& recent = t_recent[h & (kRecentSlots - 1)];
   if (recent.pool_id == pool_id_ && recent.hash == h &&
       recent.len == s.size() && recent.view() == s) {
     return recent;
   }
-  const size_t shard_index = ShardIndex(h);
+  const size_t shard_index = ShardOf(h);
   Shard& sh = *shards_[shard_index];
   MutexLock lock(&sh.mu);
   size_t mask = sh.slots.size() - 1;
@@ -95,7 +94,7 @@ StringRef StringPool::Intern(std::string_view s) {
 
 std::optional<StringRef> StringPool::Find(std::string_view s) const {
   const size_t h = HashStringContent(s);
-  const Shard& sh = *shards_[ShardIndex(h)];
+  const Shard& sh = *shards_[ShardOf(h)];
   MutexLock lock(&sh.mu);
   size_t mask = sh.slots.size() - 1;
   size_t i = h & mask;

@@ -1,5 +1,5 @@
-// Arena-backed string interning, sharded for lock-cheap concurrent interning
-// by parallel decode workers.
+// Arena-backed string interning, sharded so that a parallel carve interns
+// with one writer per shard (Carver::CarveContent).
 //
 // Each distinct string is stored once in a shard-private Arena and mapped to
 // a stable StringRef {ptr, len, id} via an open-addressing table (the idiom
@@ -43,7 +43,18 @@ class StringPool {
   /// Interns `s`, copying it into the pool on first sight. Strings longer
   /// than UINT32_MAX bytes are unsupported (carved cells are bounded by the
   /// 32 KiB page-size ceiling long before that).
-  StringRef Intern(std::string_view s);
+  StringRef Intern(std::string_view s) {
+    return InternHashed(s, HashStringContent(s));
+  }
+
+  /// Intern() for a caller that already holds HashStringContent(s).
+  StringRef InternHashed(std::string_view s, size_t hash);
+
+  /// The shard a string of content hash `hash` is interned in, in
+  /// [0, shard_count()). Callers that intern many strings bucket them by
+  /// shard so that one thread writes each shard (Carver::CarveContent).
+  size_t ShardOf(size_t hash) const { return (hash >> 48) & shard_mask_; }
+  size_t shard_count() const { return shards_.size(); }
 
   /// Returns the ref for `s` if it has been interned, without inserting.
   std::optional<StringRef> Find(std::string_view s) const;
@@ -79,7 +90,6 @@ class StringPool {
 
   static constexpr uint32_t kEmptySlot = 0xFFFFFFFFu;
 
-  size_t ShardIndex(size_t hash) const { return (hash >> 48) & shard_mask_; }
   static void GrowLocked(Shard* sh);
 
   std::vector<std::unique_ptr<Shard>> shards_;

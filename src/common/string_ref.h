@@ -30,17 +30,24 @@ inline size_t HashStringContent(std::string_view s) {
 ///
 /// Identity: within one pool, interning the same content always returns the
 /// same ref — equal (pool_id, id) implies equal content and vice versa. Ids
-/// are dense-ish and stable for the pool's lifetime but NOT reproducible
-/// across runs when several decode workers intern concurrently (shard-local
-/// insertion order depends on thread interleaving), so ids must never leak
-/// into persisted or user-visible output — comparisons fall back to content
-/// whenever pools differ.
+/// are dense-ish and stable for the pool's lifetime. A carve interns its
+/// string cells shard by shard in page order at every thread count, so the
+/// ids of a fresh carve do not depend on its thread count
+/// (Carver::CarveContent); a pool that has interned other strings first (a
+/// snapshot repository's) gives the same content other ids. Ids must never
+/// leak into persisted or user-visible output — comparisons fall back to
+/// content whenever pools differ.
+///
+/// A ref with pool_id 0 is a decoded string cell not yet interned: `data`
+/// views the page bytes it was decoded from and `hash` is already computed.
+/// Only the carver's content pass holds such cells; it interns every one
+/// before its result leaves it.
 struct StringRef {
   const char* data = nullptr;
   uint32_t len = 0;
   /// Unique within the owning pool: (shard-local index << shard_bits) | shard.
   uint32_t id = 0;
-  /// Process-unique identity of the owning pool; 0 = invalid/none.
+  /// Process-unique identity of the owning pool; 0 = none (not interned).
   uint64_t pool_id = 0;
   /// Cached HashStringContent(view()), computed once at intern time.
   size_t hash = 0;

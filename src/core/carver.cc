@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <numeric>
 #include <set>
 
 #include "common/strings.h"
@@ -25,6 +26,16 @@ bool KnownPageType(uint8_t t) {
          t == static_cast<uint8_t>(PageType::kIndexLeaf) ||
          t == static_cast<uint8_t>(PageType::kIndexInternal) ||
          t == static_cast<uint8_t>(PageType::kFree);
+}
+
+// Interns the unresolved string cells of `values` (StringCells::kUnresolved)
+// into `pool`, in cell order.
+void InternCells(Record* values, StringPool* pool) {
+  for (Value& v : *values) {
+    if (!v.is_interned()) continue;
+    const StringRef& ref = v.interned_ref();
+    v = Value::InternedStr(pool->InternHashed(ref.view(), ref.hash));
+  }
 }
 
 }  // namespace
@@ -104,75 +115,142 @@ Result<CarveResult> Carver::Carve(ByteView image, ThreadPool* pool) const {
 
   // Passes 3-4: content.
   auto content_start = std::chrono::steady_clock::now();
-  CarveContent(image, pool, &result);
+  std::vector<size_t> every_page(result.pages.size());
+  std::iota(every_page.begin(), every_page.end(), size_t{0});
+  CarveContent(image, pool, result, every_page, &result.records,
+               &result.index_entries);
   result.stats.content_seconds = SecondsSince(content_start);
   return result;
 }
 
 void Carver::CarveContent(ByteView image, ThreadPool* pool,
-                          CarveResult* result) const {
-  size_t n_pages = result->pages.size();
-  if (pool == nullptr) {
-    CarveContentRange(image, *result, 0, n_pages, &result->records,
-                      &result->index_entries);
+                          const CarveResult& base,
+                          const std::vector<size_t>& pages,
+                          std::vector<CarvedRecord>* records,
+                          std::vector<CarvedIndexEntry>* entries) const {
+  StringPool* strings = base.string_pool.get();
+  if (pool == nullptr || pages.size() < 2) {
+    for (size_t i : pages) {
+      size_t first_record = records->size();
+      size_t first_entry = entries->size();
+      CarvePage(image, base, i, records, entries);
+      for (size_t r = first_record; r < records->size(); ++r) {
+        InternCells(&(*records)[r].values, strings);
+      }
+      for (size_t e = first_entry; e < entries->size(); ++e) {
+        InternCells(&(*entries)[e].keys, strings);
+      }
+    }
     return;
   }
+
+  // Decode: contiguous ranges of `pages` in parallel, string cells left
+  // unresolved and copied out, bucketed by the pool shard they will be
+  // interned in.
   struct RangeOut {
     std::vector<CarvedRecord> records;
     std::vector<CarvedIndexEntry> entries;
+    // By shard, in page order: unresolved, then interned by the shard pass.
+    std::vector<std::vector<StringRef>> cells;
   };
-  size_t n_ranges = std::min(n_pages, pool->thread_count() * 4);
-  if (n_ranges == 0) return;
-  size_t per_range = (n_pages + n_ranges - 1) / n_ranges;
-  std::vector<RangeOut> outs((n_pages + per_range - 1) / per_range);
+  // A page yields records or index entries, never both, so merging the two
+  // lists by page index visits the cells in the serial walk's order.
+  auto for_each_cell = [](RangeOut& out, auto&& visit) {
+    size_t a = 0;
+    size_t b = 0;
+    while (a < out.records.size() || b < out.entries.size()) {
+      Record& values =
+          b == out.entries.size() ||
+                  (a < out.records.size() &&
+                   out.records[a].page_index < out.entries[b].page_index)
+              ? out.records[a++].values
+              : out.entries[b++].keys;
+      for (Value& v : values) {
+        if (v.is_interned()) visit(&v);
+      }
+    }
+  };
+  const size_t n_shards = strings->shard_count();
+  size_t n_ranges = std::min(pages.size(), pool->thread_count() * 4);
+  size_t per_range = (pages.size() + n_ranges - 1) / n_ranges;
+  std::vector<RangeOut> outs((pages.size() + per_range - 1) / per_range);
   pool->ParallelFor(outs.size(), [&](size_t r) {
-    size_t begin = r * per_range;
-    CarveContentRange(image, *result, begin,
-                      std::min(begin + per_range, n_pages), &outs[r].records,
-                      &outs[r].entries);
+    RangeOut& out = outs[r];
+    size_t end = std::min((r + 1) * per_range, pages.size());
+    for (size_t k = r * per_range; k < end; ++k) {
+      CarvePage(image, base, pages[k], &out.records, &out.entries);
+    }
+    out.cells.resize(n_shards);
+    for_each_cell(out, [&](Value* v) {
+      const StringRef& cell = v->interned_ref();
+      out.cells[strings->ShardOf(cell.hash)].push_back(cell);
+    });
   });
-  // Ranges are contiguous and ordered, so concatenation in range order
-  // reproduces the serial artifact ordering exactly.
-  for (RangeOut& out : outs) {
-    result->records.insert(result->records.end(),
-                           std::make_move_iterator(out.records.begin()),
-                           std::make_move_iterator(out.records.end()));
-    result->index_entries.insert(result->index_entries.end(),
-                                 std::make_move_iterator(out.entries.begin()),
-                                 std::make_move_iterator(out.entries.end()));
+
+  // Intern: one task per shard, the only writer of that shard during the
+  // pass. Range by range, cell by cell is the serial walk's order within
+  // the shard, so every string gets the id the serial walk gives it. The
+  // task reads and writes only its buckets, not the ranges' records.
+  pool->ParallelFor(n_shards, [&](size_t shard) {
+    for (RangeOut& out : outs) {
+      for (StringRef& cell : out.cells[shard]) {
+        cell = strings->InternHashed(cell.view(), cell.hash);
+      }
+    }
+  });
+
+  // Resolve and place: each range writes its interned refs back in the
+  // same cell order and moves its artifacts to their final positions.
+  // Ranges are contiguous and ordered, so range order reproduces the
+  // serial artifact ordering exactly.
+  std::vector<size_t> first_record(outs.size());
+  std::vector<size_t> first_entry(outs.size());
+  size_t n_records = records->size();
+  size_t n_entries = entries->size();
+  for (size_t r = 0; r < outs.size(); ++r) {
+    first_record[r] = n_records;
+    first_entry[r] = n_entries;
+    n_records += outs[r].records.size();
+    n_entries += outs[r].entries.size();
   }
+  records->resize(n_records);
+  entries->resize(n_entries);
+  pool->ParallelFor(outs.size(), [&](size_t r) {
+    RangeOut& out = outs[r];
+    std::vector<size_t> next(n_shards, 0);
+    for_each_cell(out, [&](Value* v) {
+      size_t shard = strings->ShardOf(v->interned_ref().hash);
+      *v = Value::InternedStr(out.cells[shard][next[shard]++]);
+    });
+    std::move(out.records.begin(), out.records.end(),
+              records->begin() + first_record[r]);
+    std::move(out.entries.begin(), out.entries.end(),
+              entries->begin() + first_entry[r]);
+  });
 }
 
-void Carver::CarveContentRange(ByteView image, const CarveResult& base,
-                               size_t begin, size_t end,
-                               std::vector<CarvedRecord>* records,
-                               std::vector<CarvedIndexEntry>* entries) const {
+void Carver::CarvePage(ByteView image, const CarveResult& base, size_t i,
+                       std::vector<CarvedRecord>* records,
+                       std::vector<CarvedIndexEntry>* entries) const {
   const PageLayoutParams& p = config_.params;
-  // Interning is sharded-thread-safe, so concurrent ranges share the
-  // result's pool directly.
-  StringPool* pool = base.string_pool.get();
-  for (size_t i = begin; i < end; ++i) {
-    const CarvedPage& page_meta = base.pages[i];
-    if (!page_meta.checksum_ok && !options_.parse_bad_checksum_pages) {
-      continue;
-    }
-    ByteView page = image.Slice(page_meta.image_offset, p.page_size);
-    switch (page_meta.type) {
-      case PageType::kData:
-        if (page_meta.object_id != config_.catalog_object_id) {
-          const TableSchema* schema = nullptr;
-          auto schema_it = base.schemas.find(page_meta.object_id);
-          if (schema_it != base.schemas.end()) schema = &schema_it->second;
-          CarveDataPage(page, i, page_meta, schema, pool, records);
-        }
-        break;
-      case PageType::kIndexLeaf:
-      case PageType::kIndexInternal:
-        CarveIndexPage(page, i, page_meta, pool, entries);
-        break;
-      case PageType::kFree:
-        break;
-    }
+  const CarvedPage& page_meta = base.pages[i];
+  if (!page_meta.checksum_ok && !options_.parse_bad_checksum_pages) return;
+  ByteView page = image.Slice(page_meta.image_offset, p.page_size);
+  switch (page_meta.type) {
+    case PageType::kData:
+      if (page_meta.object_id != config_.catalog_object_id) {
+        const TableSchema* schema = nullptr;
+        auto schema_it = base.schemas.find(page_meta.object_id);
+        if (schema_it != base.schemas.end()) schema = &schema_it->second;
+        CarveDataPage(page, i, page_meta, schema, records);
+      }
+      break;
+    case PageType::kIndexLeaf:
+    case PageType::kIndexInternal:
+      CarveIndexPage(page, i, page_meta, entries);
+      break;
+    case PageType::kFree:
+      break;
   }
 }
 
@@ -251,7 +329,7 @@ void Carver::CarveCatalog(ByteView image, CarveResult* result) const {
 
 void Carver::CarveDataPage(ByteView page, size_t page_index,
                            const CarvedPage& page_meta,
-                           const TableSchema* schema, StringPool* pool,
+                           const TableSchema* schema,
                            std::vector<CarvedRecord>* out) const {
   // Offsets the slot directory already covered, for the raw-scan dedup
   // below. A flat vector + one sort beats a std::set here: this runs per
@@ -282,13 +360,13 @@ void Carver::CarveDataPage(ByteView page, size_t page_index,
     carved.row_id = rec.row_id;
     carved.page_lsn = page_meta.lsn;
     if (schema != nullptr) {
-      auto typed = fmt_.DecodeTyped(rec, *schema, pool);
+      auto typed = fmt_.DecodeTyped(rec, *schema, StringCells::kUnresolved);
       if (typed.ok()) {
         carved.values = std::move(typed).value();
         carved.typed = true;
       }
     }
-    if (!carved.typed) carved.values = fmt_.DecodeUntyped(rec, pool);
+    if (!carved.typed) carved.values = fmt_.DecodeUntyped(rec, StringCells::kUnresolved);
     out->push_back(std::move(carved));
   }
 
@@ -313,24 +391,25 @@ void Carver::CarveDataPage(ByteView page, size_t page_index,
     carved.row_id = raw.row_id;
     carved.page_lsn = page_meta.lsn;
     if (schema != nullptr) {
-      auto typed = fmt_.DecodeTyped(raw, *schema, pool);
+      auto typed = fmt_.DecodeTyped(raw, *schema, StringCells::kUnresolved);
       if (typed.ok()) {
         carved.values = std::move(typed).value();
         carved.typed = true;
       }
     }
-    if (!carved.typed) carved.values = fmt_.DecodeUntyped(raw, pool);
+    if (!carved.typed) carved.values = fmt_.DecodeUntyped(raw, StringCells::kUnresolved);
     out->push_back(std::move(carved));
   }
 }
 
 void Carver::CarveIndexPage(ByteView page, size_t page_index,
-                            const CarvedPage& page_meta, StringPool* pool,
+                            const CarvedPage& page_meta,
                             std::vector<CarvedIndexEntry>* out) const {
   for (uint16_t s = 0; s < page_meta.record_count; ++s) {
     auto slot = fmt_.GetSlot(page.data(), s);
     if (!slot.has_value()) continue;
-    auto entry = fmt_.ParseIndexEntryAt(page, slot->offset, pool);
+    auto entry = fmt_.ParseIndexEntryAt(page, slot->offset,
+                                          StringCells::kUnresolved);
     if (!entry.ok()) continue;
     CarvedIndexEntry carved;
     carved.page_index = page_index;

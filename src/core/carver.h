@@ -76,29 +76,35 @@ class Carver {
   /// only [offset, offset + page_size).
   std::optional<CarvedPage> ProbePage(ByteView image, size_t offset) const;
 
-  /// Passes 3-4 over all of result->pages, in contiguous page ranges on
-  /// `pool` (or inline when it is null) concatenated in range order.
-  void CarveContent(ByteView image, ThreadPool* pool,
-                    CarveResult* result) const;
+  /// Passes 3-4 over base.pages[i] for every i in `pages` (ascending):
+  /// appends their records and index entries to *records and *entries in
+  /// page order, with every string cell interned into base.string_pool,
+  /// exactly as the serial walk does. On a `pool`, contiguous runs of
+  /// `pages` decode concurrently leaving string cells unresolved, then one
+  /// task per pool shard interns that shard's cells in page order, so the
+  /// interned ids equal the serial walk's (docs/parallel_carving.md).
+  /// `base` supplies page metadata, schemas and the string pool; its
+  /// artifact collections are never read.
+  void CarveContent(ByteView image, ThreadPool* pool, const CarveResult& base,
+                    const std::vector<size_t>& pages,
+                    std::vector<CarvedRecord>* records,
+                    std::vector<CarvedIndexEntry>* entries) const;
 
   /// Pass 2: catalog reconstruction over base->pages (reads the page list,
   /// fills catalog_entries / schemas / indexes / dropped_objects).
   void CarveCatalog(ByteView image, CarveResult* result) const;
 
-  /// Passes 3-4 over pages [begin, end) of base.pages: decodes data and
-  /// index pages in page order, appending to *records and *entries exactly
-  /// as the serial content pass would. `base` supplies page metadata and
-  /// schemas and is never written, so disjoint ranges can run concurrently.
-  void CarveContentRange(ByteView image, const CarveResult& base,
-                         size_t begin, size_t end,
-                         std::vector<CarvedRecord>* records,
-                         std::vector<CarvedIndexEntry>* entries) const;
+  /// Passes 3-4 over page `i` of base.pages, appending to *records or
+  /// *entries with string cells left unresolved (StringCells::kUnresolved).
+  void CarvePage(ByteView image, const CarveResult& base, size_t i,
+                 std::vector<CarvedRecord>* records,
+                 std::vector<CarvedIndexEntry>* entries) const;
 
   void CarveDataPage(ByteView page, size_t page_index, const CarvedPage& meta,
-                     const TableSchema* schema, StringPool* pool,
+                     const TableSchema* schema,
                      std::vector<CarvedRecord>* out) const;
   void CarveIndexPage(ByteView page, size_t page_index,
-                      const CarvedPage& meta, StringPool* pool,
+                      const CarvedPage& meta,
                       std::vector<CarvedIndexEntry>* out) const;
 
   friend class SnapshotRepo;  // store-first detection + per-page decode

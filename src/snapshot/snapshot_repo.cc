@@ -754,12 +754,11 @@ Result<IngestStats> SnapshotRepo::Ingest(ByteView image) {
   // Passes 3-4: content. Ingest only needs to make sure every page's
   // artifacts exist in the cache — AssembleCarve is what materializes a
   // carve from them — so cached pages cost one index lookup and only
-  // misses decode (page-parallel), publishing in canonical form
-  // (page_index 0, re-stamped at assembly).
+  // misses decode (on the repository pool, Carver::CarveContent),
+  // publishing in canonical form (page_index 0, re-stamped at assembly).
   auto content_start = std::chrono::steady_clock::now();
   size_t n = result.pages.size();
   ContextSet context_set = BuildContexts(result);
-  std::vector<PageArtifacts> slots(n);
   std::vector<PageHash> contexts(n);
   std::vector<size_t> misses;
   for (size_t i = 0; i < n; ++i) {
@@ -773,21 +772,25 @@ Result<IngestStats> SnapshotRepo::Ingest(ByteView image) {
     }
   }
 
-  auto decode_one = [&](size_t i) {
-    carver_.CarveContentRange(image, result, i, i + 1, &slots[i].records,
-                              &slots[i].index_entries);
-  };
-  if (ThreadPool* pool = misses.size() > 1 ? Pool() : nullptr) {
-    pool->ParallelFor(misses.size(),
-                      [&](size_t k) { decode_one(misses[k]); });
-  } else {
-    for (size_t i : misses) decode_one(i);
-  }
-
+  std::vector<CarvedRecord> records;
+  std::vector<CarvedIndexEntry> entries;
+  carver_.CarveContent(image, Pool(), result, misses, &records, &entries);
+  // Both lists are in page order: split them into each miss's artifacts.
+  size_t next_record = 0;
+  size_t next_entry = 0;
   for (size_t i : misses) {
-    PageArtifacts& canonical = slots[i];
-    for (CarvedRecord& r : canonical.records) r.page_index = 0;
-    for (CarvedIndexEntry& e : canonical.index_entries) e.page_index = 0;
+    PageArtifacts canonical;
+    for (; next_record < records.size() &&
+           records[next_record].page_index == i;
+         ++next_record) {
+      canonical.records.push_back(std::move(records[next_record]));
+      canonical.records.back().page_index = 0;
+    }
+    for (; next_entry < entries.size() && entries[next_entry].page_index == i;
+         ++next_entry) {
+      canonical.index_entries.push_back(std::move(entries[next_entry]));
+      canonical.index_entries.back().page_index = 0;
+    }
     ArtifactKey key{snap.pages[i]->entry.hash, contexts[i]};
     DBFA_RETURN_IF_ERROR(
         artifact_cache_.Put(key, std::move(canonical)).status());
@@ -889,8 +892,8 @@ Result<CarveResult> SnapshotRepo::Assemble(
       one.pages[0] = result.pages[i];
       one.pages[0].image_offset = 0;
       PageArtifacts decoded;
-      carver_.CarveContentRange(ByteView(page), one, 0, 1, &decoded.records,
-                                &decoded.index_entries);
+      carver_.CarveContent(ByteView(page), nullptr, one, {0},
+                           &decoded.records, &decoded.index_entries);
       DBFA_ASSIGN_OR_RETURN(arts, artifact_cache_.Put(key, std::move(decoded)));
     }
     for (const CarvedRecord& r : arts->records) {

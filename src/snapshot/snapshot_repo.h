@@ -191,9 +191,10 @@ class SnapshotRepo {
   /// store, and only a store miss is probed as a page — so a warm re-ingest
   /// accepts unchanged pages for one hash each, without re-verifying their
   /// checksums, and reuses their cached artifacts without decoding.
-  /// New/changed pages are decoded page-parallel on the same pool; outputs
-  /// are merged in page order, so the result is identical for every thread
-  /// count.
+  /// New/changed pages are decoded by the carver's content pass on the
+  /// same pool (Carver::CarveContent): artifacts, their order and the ids
+  /// their strings get in the repository's pool are identical for every
+  /// thread count, and so is repo.bin.
   Result<IngestStats> Ingest(ByteView image);
 
   /// Snapshots in ascending id order.

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "common/string_pool.h"
 #include "common/strings.h"
 
 namespace dbfa {
@@ -586,20 +585,22 @@ Status PageFormatter::MarkDeleted(uint8_t* page, uint16_t slot) const {
 
 namespace {
 
-// One string cell: interned into `pool` when decoding into a carve pool,
-// an owning std::string otherwise.
-Value MakeStringValue(ByteView bytes, StringPool* pool) {
-  if (pool != nullptr) {
-    return Value::InternedStr(pool->Intern(AsStringView(bytes)));
-  }
-  return Value::Str(std::string(AsStringView(bytes)));
+// One string cell in the representation `cells` names.
+Value MakeStringValue(ByteView bytes, StringCells cells) {
+  std::string_view s = AsStringView(bytes);
+  if (cells == StringCells::kOwned) return Value::Str(std::string(s));
+  StringRef cell;
+  cell.data = s.data();
+  cell.len = static_cast<uint32_t>(s.size());
+  cell.hash = HashStringContent(s);
+  return Value::InternedStr(cell);
 }
 
 }  // namespace
 
 Result<Record> PageFormatter::DecodeTyped(const ParsedRecord& rec,
                                           const TableSchema& schema,
-                                          StringPool* pool) const {
+                                          StringCells cells) const {
   if (rec.fields.size() != schema.columns.size()) {
     return Status::Corruption(
         StrFormat("carved arity %zu != schema arity %zu", rec.fields.size(),
@@ -631,7 +632,7 @@ Result<Record> PageFormatter::DecodeTyped(const ParsedRecord& rec,
         break;
       }
       case ColumnType::kVarchar:
-        out.push_back(MakeStringValue(f.bytes, pool));
+        out.push_back(MakeStringValue(f.bytes, cells));
         break;
     }
   }
@@ -639,7 +640,7 @@ Result<Record> PageFormatter::DecodeTyped(const ParsedRecord& rec,
 }
 
 Record PageFormatter::DecodeUntyped(const ParsedRecord& rec,
-                                    StringPool* pool) const {
+                                    StringCells cells) const {
   Record out;
   out.reserve(rec.fields.size());
   for (const RawField& f : rec.fields) {
@@ -650,7 +651,7 @@ Record PageFormatter::DecodeUntyped(const ParsedRecord& rec,
     bool treat_as_string = f.is_string_hint ||
                            (f.bytes.size() != 8 || MostlyPrintable(f.bytes));
     if (treat_as_string) {
-      out.push_back(MakeStringValue(f.bytes, pool));
+      out.push_back(MakeStringValue(f.bytes, cells));
       continue;
     }
     uint64_t bits = ReadU64(f.bytes.data(), p_.big_endian);
@@ -829,7 +830,7 @@ Bytes PageFormatter::EncodeInternalEntry(const std::vector<Value>& keys,
 #endif
 
 Result<ParsedIndexEntry> PageFormatter::ParseIndexEntryAt(
-    ByteView page, uint16_t offset, StringPool* pool) const {
+    ByteView page, uint16_t offset, StringCells cells) const {
   size_t pos = offset;
   if (pos + 4 > page.size() || page[pos] != p_.index_entry_marker) {
     return Status::Corruption("bad index entry marker");
@@ -877,7 +878,7 @@ Result<ParsedIndexEntry> PageFormatter::ParseIndexEntryAt(
             std::bit_cast<double>(ReadU64(page.data() + pos, p_.big_endian))));
         break;
       case ValueType::kString:
-        entry.keys.push_back(MakeStringValue(page.Slice(pos, len), pool));
+        entry.keys.push_back(MakeStringValue(page.Slice(pos, len), cells));
         break;
       default:
         return Status::Corruption("bad index key type tag");

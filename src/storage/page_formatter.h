@@ -48,7 +48,17 @@
 
 namespace dbfa {
 
-class StringPool;
+/// How the record and index decoders represent a string cell.
+enum class StringCells : uint8_t {
+  /// An owning std::string: the engine's own scans, whose rows are live
+  /// data, not carved evidence.
+  kOwned,
+  /// An unresolved StringRef (pool_id 0) viewing the page bytes, with its
+  /// content hash computed: the carver's content pass, which interns every
+  /// such cell into its result's pool before the page bytes can go away
+  /// (Carver::CarveContent).
+  kUnresolved,
+};
 
 /// Physical location of a record: page id within an object file + slot.
 /// This is the "RowID reflects the physical location of a record including
@@ -173,21 +183,17 @@ class PageFormatter {
   /// `slot_tombstoned` must come from the record's slot entry.
   bool IsDeleted(const ParsedRecord& rec, bool slot_tombstoned) const;
 
-  /// Resolves raw fields to typed values using a known schema. When `pool`
-  /// is non-null, string cells are interned into it (Value::InternedStr —
-  /// no per-cell heap allocation, repeated values stored once), and a
-  /// result built from the Record must hold the pool (StringPoolSet). The
-  /// carver always passes its result's pool; a null `pool` gives owned
-  /// strings, which the engine's own table scans use: their rows are live
-  /// data, not carved evidence.
+  /// Resolves raw fields to typed values using a known schema. String
+  /// cells take the representation `cells` names; kUnresolved cells cost
+  /// no heap allocation.
   Result<Record> DecodeTyped(const ParsedRecord& rec, const TableSchema& schema,
-                             StringPool* pool = nullptr) const;
+                             StringCells cells = StringCells::kOwned) const;
 
   /// Best-effort type inference when no schema is available (printable runs
-  /// become strings, 8-byte fields become integers). Same `pool` contract
+  /// become strings, 8-byte fields become integers). Same `cells` contract
   /// as DecodeTyped.
   Record DecodeUntyped(const ParsedRecord& rec,
-                       StringPool* pool = nullptr) const;
+                       StringCells cells = StringCells::kOwned) const;
 
   /// Scans the whole data region byte-by-byte for parseable records,
   /// ignoring the slot directory. Used for corrupted pages and for
@@ -200,10 +206,11 @@ class PageFormatter {
                         RowPointer pointer) const;
   Bytes EncodeInternalEntry(const std::vector<Value>& keys,
                             uint32_t child_page) const;
-  /// Parses the index entry at `offset`. Same `pool` contract as
+  /// Parses the index entry at `offset`. Same `cells` contract as
   /// DecodeTyped for string keys.
-  Result<ParsedIndexEntry> ParseIndexEntryAt(ByteView page, uint16_t offset,
-                                             StringPool* pool = nullptr) const;
+  Result<ParsedIndexEntry> ParseIndexEntryAt(
+      ByteView page, uint16_t offset,
+      StringCells cells = StringCells::kOwned) const;
 
   /// Encodes/decodes a row pointer in the dialect's PointerFormat.
   void AppendPointer(Bytes* out, RowPointer ptr) const;

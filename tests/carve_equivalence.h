@@ -1,13 +1,17 @@
-// Shared differential-test helper: asserts two CarveResults are
-// element-wise identical — every artifact collection, in order. Used to
-// prove ParallelCarver output equals serial Carver output for any thread
-// count / chunk size. Stats are intentionally NOT compared: wall times
-// differ run to run, and the parallel detector probes a superset of the
-// serial cursor's offsets.
+// Shared differential-test helpers: assert two CarveResults are
+// element-wise identical — every artifact collection, in order — and, for
+// two fresh carves, that their string cells carry the same interned ids.
+// Used to prove ParallelCarver output equals serial Carver output for any
+// thread count / chunk size. Stats are intentionally NOT compared: wall
+// times differ run to run, and the parallel detector probes a superset of
+// the serial cursor's offsets.
 #ifndef DBFA_TESTS_CARVE_EQUIVALENCE_H_
 #define DBFA_TESTS_CARVE_EQUIVALENCE_H_
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <vector>
 
 #include "core/artifacts.h"
 
@@ -51,6 +55,50 @@ inline void ExpectSameCarveResult(const CarveResult& expected,
   EXPECT_EQ(expected.schemas, actual.schemas);
   EXPECT_EQ(expected.indexes, actual.indexes);
   EXPECT_EQ(expected.dropped_objects, actual.dropped_objects);
+}
+
+/// The id of every string cell of `result` (records, then index entries),
+/// with a failure for each cell that is not interned in result.string_pool:
+/// an owned string, an unresolved cell (pool_id 0) or another pool's ref.
+inline std::vector<uint32_t> InternedIds(const CarveResult& result) {
+  std::vector<uint32_t> ids;
+  size_t foreign = 0;
+  auto add = [&](const std::vector<Value>& values) {
+    for (const Value& v : values) {
+      if (v.type() != ValueType::kString) continue;
+      if (!v.is_interned() ||
+          v.interned_ref().pool_id != result.string_pool->pool_id()) {
+        ++foreign;
+        continue;
+      }
+      ids.push_back(v.interned_ref().id);
+    }
+  };
+  for (const CarvedRecord& r : result.records) add(r.values);
+  for (const CarvedIndexEntry& e : result.index_entries) add(e.keys);
+  EXPECT_EQ(foreign, 0u)
+      << "string cells not interned in the result's own pool";
+  return ids;
+}
+
+/// Asserts that `a` and `b` interned their string cells to the same ids,
+/// cell by cell, each in its own pool. Only two fresh carves of one image
+/// compare this way: a snapshot repository's pool has interned other
+/// strings first, so its ids differ from a fresh carve's by design.
+inline void ExpectSameInternedIds(const CarveResult& a, const CarveResult& b) {
+  ASSERT_NE(a.string_pool, nullptr);
+  ASSERT_NE(b.string_pool, nullptr);
+  std::vector<uint32_t> ids_a = InternedIds(a);
+  std::vector<uint32_t> ids_b = InternedIds(b);
+  ASSERT_EQ(ids_a.size(), ids_b.size());
+  size_t differ = 0;
+  size_t first = ids_a.size();
+  for (size_t i = 0; i < ids_a.size(); ++i) {
+    if (ids_a[i] == ids_b[i]) continue;
+    if (differ++ == 0) first = i;
+  }
+  EXPECT_EQ(differ, 0u) << "interned ids differ, first at string cell "
+                        << first << " of " << ids_a.size();
 }
 
 /// Sanity conditions both carvers' stats must satisfy for `result`.

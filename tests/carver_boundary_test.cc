@@ -162,6 +162,7 @@ TEST_P(CarverBoundaryFuzz, ParallelEqualsSerialAtChunkEdges) {
             .Carve(c.image);
     ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
     ExpectSameCarveResult(*serial, *parallel);
+    ExpectSameInternedIds(*serial, *parallel);
     ExpectSaneCarveStats(*parallel);
   }
 }

@@ -1,9 +1,9 @@
 // Differential tests: ParallelCarver must produce element-wise identical
 // output to the serial Carver — same pages, records, index entries,
-// catalog entries, schemas and ordering — for every thread count and
-// chunk size, across an image matrix covering the forensic scenarios the
-// serial carver is tested on (single file, multi-DBMS, text-garbage-heavy,
-// corrupted).
+// catalog entries, schemas, ordering and interned string ids — for every
+// thread count and chunk size, across an image matrix covering the
+// forensic scenarios the serial carver is tested on (single file,
+// multi-DBMS, text-garbage-heavy, corrupted).
 #include "core/parallel_carver.h"
 
 #include <gtest/gtest.h>
@@ -75,6 +75,7 @@ void ExpectParallelMatchesSerial(ByteView image, const CarverConfig& config,
     auto parallel = carver.Carve(image);
     ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
     ExpectSameCarveResult(*serial, *parallel);
+    ExpectSameInternedIds(*serial, *parallel);
     ExpectSaneCarveStats(*parallel);
   }
 }
@@ -89,6 +90,20 @@ TEST(ParallelCarverTest, SingleFileImageMatchesSerial) {
                               /*forced_chunk_pages=*/1);
   ExpectParallelMatchesSerial(*image, ConfigFor("postgres_like"), {},
                               /*forced_chunk_pages=*/3);
+}
+
+TEST(ParallelCarverTest, ManyPagesInternTheSerialIds) {
+  // Enough data and string-keyed index pages that every thread count
+  // decodes several ranges holding strings of every pool shard, so the
+  // shard pass decides the ids.
+  auto db = PopulatedDb("postgres_like", 3000);
+  ASSERT_TRUE(db->ExecuteSql("CREATE INDEX idx_city ON Customer (City)").ok());
+  ASSERT_TRUE(
+      db->ExecuteSql("UPDATE Customer SET City = 'Moved' WHERE Id > 2500")
+          .ok());
+  auto image = db->SnapshotDisk();
+  ASSERT_TRUE(image.ok());
+  ExpectParallelMatchesSerial(*image, ConfigFor("postgres_like"));
 }
 
 TEST(ParallelCarverTest, MultiDbmsImageMatchesSerialForEachConfig) {
@@ -212,6 +227,7 @@ TEST(ParallelCarverTest, CarveMultiMatchesSerialCarveMulti) {
     for (size_t i = 0; i < serial->size(); ++i) {
       SCOPED_TRACE(configs[i].params.dialect);
       ExpectSameCarveResult((*serial)[i], (*parallel)[i]);
+      ExpectSameInternedIds((*serial)[i], (*parallel)[i]);
     }
   }
 }
@@ -244,6 +260,7 @@ TEST(ParallelCarverTest, BorrowedPoolIsReusedAcrossCarves) {
     auto parallel = carver.Carve(*image);
     ASSERT_TRUE(parallel.ok());
     ExpectSameCarveResult(*serial, *parallel);
+    ExpectSameInternedIds(*serial, *parallel);
   }
 }
 

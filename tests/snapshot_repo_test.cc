@@ -873,6 +873,63 @@ TEST(SnapshotRepoTest, RepeatedNewPageIsStoredOnce) {
   }
 }
 
+TEST(SnapshotRepoTest, IngestIsIdenticalAtOneAndFourThreads) {
+  // The ingest content pass interns on the repository pool shard by shard:
+  // the file it writes and the ids its strings get must not depend on the
+  // thread count. String index keys (idx_city) and a changing series make
+  // every capture decode record and index pages in several ranges.
+  CarverConfig config = ConfigFor("postgres_like");
+  auto db = PopulatedDb("postgres_like", 400);
+  ASSERT_TRUE(db->ExecuteSql("CREATE INDEX idx_city ON Customer (City)").ok());
+  std::vector<Bytes> captures;
+  captures.push_back(CaptureImage(db.get(), 5));
+  ASSERT_TRUE(
+      db->ExecuteSql("UPDATE Customer SET City = 'Moved' WHERE Id <= 60")
+          .ok());
+  captures.push_back(CaptureImage(db.get(), 6));
+  ASSERT_TRUE(db->ExecuteSql("DELETE FROM Customer WHERE Id > 350").ok());
+  for (int i = 401; i <= 440; ++i) {
+    ASSERT_TRUE(db->ExecuteSql(StrFormat("INSERT INTO Customer VALUES "
+                                         "(%d, 'Late%04d', 'Town%d')",
+                                         i, i, i % 5))
+                    .ok());
+  }
+  captures.push_back(CaptureImage(db.get(), 7));
+
+  std::vector<Bytes> files;
+  std::vector<std::vector<CarveResult>> assembled;
+  for (size_t threads : {1, 4}) {
+    SCOPED_TRACE(StrFormat("threads=%zu", threads));
+    std::string dir = RepoDir(StrFormat("snap_threads_%zu", threads));
+    CarveOptions options;
+    options.num_threads = threads;
+    auto repo = SnapshotRepo::Create(dir, config, options);
+    ASSERT_TRUE(repo.ok()) << repo.status().ToString();
+    for (const Bytes& capture : captures) {
+      auto stats = (*repo)->Ingest(capture);
+      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+      EXPECT_GT(stats->artifacts_carved, 1u);
+    }
+    std::vector<CarveResult>& carves = assembled.emplace_back();
+    for (uint64_t id = 1; id <= captures.size(); ++id) {
+      auto carve = (*repo)->AssembleCarve(id);
+      ASSERT_TRUE(carve.ok()) << carve.status().ToString();
+      carves.push_back(std::move(carve).value());
+    }
+    repo->reset();
+    auto file = ReadFileBytes(RepoPath(dir));
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    files.push_back(std::move(file).value());
+  }
+  EXPECT_TRUE(files[0] == files[1]) << "repo.bin differs between 1 and 4 "
+                                       "ingest threads";
+  for (size_t i = 0; i < captures.size(); ++i) {
+    SCOPED_TRACE(StrFormat("snapshot %zu", i + 1));
+    ExpectSameCarveResult(assembled[0][i], assembled[1][i]);
+    ExpectSameInternedIds(assembled[0][i], assembled[1][i]);
+  }
+}
+
 TEST(SnapshotRepoTest, ManifestCrcMismatchFailsOpen) {
   // The store is keyed by the content hash alone, but a manifest's CRC
   // column is still checked against the stored entry.

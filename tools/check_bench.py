@@ -11,9 +11,14 @@ when present, else the aggregate mean, else the median over raw iteration
 entries. Times are normalized through ``time_unit`` before comparison, so
 a baseline recorded in ms compares correctly against a run emitted in ns.
 
-Exit codes: 0 ok, 1 regression (suppressed by --warn-only), 2 usage or
-no-overlap errors (never suppressed: comparing disjoint files means the
-gate is miswired, not that performance is fine).
+A current leg that errored (``error_occurred``) or reports a ``real_time``
+of zero or less measured nothing, so the gate fails on it instead of
+scoring it as infinitely fast.
+
+Exit codes: 0 ok, 1 regression (suppressed by --warn-only), 2 usage,
+no-overlap or failed-leg errors (never suppressed: comparing disjoint files
+means the gate is miswired, and a failed leg means nothing was measured,
+not that performance is fine).
 """
 
 import argparse
@@ -62,6 +67,25 @@ def representative_times(doc):
     return times
 
 
+def failed_legs(doc):
+    """Names of the time entries in one benchmark JSON that measured
+    nothing: an ``error_occurred`` flag, or a missing or non-positive
+    ``real_time``. Ratio aggregates (cv) are not times and are skipped."""
+    failed = []
+    for entry in doc.get("benchmarks", []):
+        if entry.get("run_type") == "aggregate" and (
+            entry.get("aggregate_unit", "time") != "time"
+            or entry.get("aggregate_time", "time") != "time"
+        ):
+            continue
+        name = entry.get("name", entry.get("run_name"))
+        if entry.get("error_occurred") or not (
+            float(entry.get("real_time", 0.0)) > 0.0
+        ):
+            failed.append(name)
+    return failed
+
+
 def compare(baseline, current, tolerance):
     """Returns (regressions, improvements, common) over two run_name maps.
 
@@ -85,9 +109,20 @@ def run_gate(baseline_path, current_path, tolerance, warn_only):
         with open(baseline_path) as f:
             baseline = representative_times(json.load(f))
         with open(current_path) as f:
-            current = representative_times(json.load(f))
+            current_doc = json.load(f)
+        current = representative_times(current_doc)
+        failed = failed_legs(current_doc)
     except (OSError, ValueError, KeyError) as err:
         print(f"check_bench: cannot load inputs: {err}", file=sys.stderr)
+        return 2
+
+    if failed:
+        for name in failed:
+            print(
+                f"check_bench: FAILED LEG {name} in {current_path}: it "
+                f"errored or reports no positive real_time",
+                file=sys.stderr,
+            )
         return 2
 
     regressions, improvements, common = compare(baseline, current, tolerance)
@@ -206,6 +241,41 @@ def self_test():
         1.5,
     )
     assert not common, "disjoint inputs must have no common benchmarks"
+
+    # A leg that errored, or timed nothing, fails the gate: it must not
+    # score as ratio 0 (infinitely fast) and print ok.
+    import os
+    import tempfile
+
+    errored = _synthetic({"BM_a": (2.0, "ms")})
+    errored["benchmarks"][0].update(
+        {"real_time": 0.0, "error_occurred": True, "error_message": "boom"}
+    )
+    assert failed_legs(errored) == ["BM_a_median"], "errored leg not found"
+    zero = _synthetic({"BM_a": (0.0, "ms")})
+    assert failed_legs(zero) == ["BM_a_median"], "zero real_time not found"
+    assert not failed_legs(_synthetic({"BM_a": (2.0, "ms")}))
+    cv = _synthetic({"BM_a": (0.0, "ns")})
+    cv["benchmarks"][0].update(
+        {"aggregate_name": "cv", "aggregate_unit": "percentage"}
+    )
+    assert not failed_legs(cv), "a zero cv is not a failed leg"
+    with tempfile.TemporaryDirectory() as tmp:
+        base_path = os.path.join(tmp, "base.json")
+        cur_path = os.path.join(tmp, "cur.json")
+        with open(base_path, "w") as f:
+            json.dump(_synthetic({"BM_a": (2.0, "ms")}), f)
+        with open(cur_path, "w") as f:
+            json.dump(errored, f)
+        assert run_gate(base_path, cur_path, 1.5, False) == 2, (
+            "errored leg passed the gate"
+        )
+        assert run_gate(base_path, cur_path, 1.5, True) == 2, (
+            "--warn-only suppressed a failed leg"
+        )
+        with open(cur_path, "w") as f:
+            json.dump(_synthetic({"BM_a": (2.0e6, "ns")}), f)
+        assert run_gate(base_path, cur_path, 1.5, False) == 0
 
     print("check_bench: self-test ok")
     return 0
