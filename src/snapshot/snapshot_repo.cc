@@ -775,22 +775,21 @@ Result<IngestStats> SnapshotRepo::Ingest(ByteView image) {
   std::vector<CarvedRecord> records;
   std::vector<CarvedIndexEntry> entries;
   carver_.CarveContent(image, Pool(), result, misses, &records, &entries);
-  // Both lists are in page order: split them into each miss's artifacts.
+  // Both lists are in page order: move each miss's run out of them.
+  auto take = [](auto* from, size_t* next, size_t page, auto* to) {
+    size_t end = *next;
+    while (end < from->size() && (*from)[end].page_index == page) ++end;
+    to->assign(std::make_move_iterator(from->begin() + *next),
+               std::make_move_iterator(from->begin() + end));
+    for (auto& artifact : *to) artifact.page_index = 0;
+    *next = end;
+  };
   size_t next_record = 0;
   size_t next_entry = 0;
   for (size_t i : misses) {
     PageArtifacts canonical;
-    for (; next_record < records.size() &&
-           records[next_record].page_index == i;
-         ++next_record) {
-      canonical.records.push_back(std::move(records[next_record]));
-      canonical.records.back().page_index = 0;
-    }
-    for (; next_entry < entries.size() && entries[next_entry].page_index == i;
-         ++next_entry) {
-      canonical.index_entries.push_back(std::move(entries[next_entry]));
-      canonical.index_entries.back().page_index = 0;
-    }
+    take(&records, &next_record, i, &canonical.records);
+    take(&entries, &next_entry, i, &canonical.index_entries);
     ArtifactKey key{snap.pages[i]->entry.hash, contexts[i]};
     DBFA_RETURN_IF_ERROR(
         artifact_cache_.Put(key, std::move(canonical)).status());
