@@ -62,7 +62,7 @@ int main() {
                 found[0].violations.size());
   }
 
-  // ---- part B: wiping -----------------------------------------------------------
+  // ---- part B: wiping -------------------------------------------------------
   std::printf("\nE5b — wiping the four deleted-data categories\n\n");
   std::printf("%-16s %-10s %-10s %-9s %-9s %-9s %-8s %-10s\n", "dialect",
               "residue", "residue", "index", "catalog", "unalloc", "MB/s",

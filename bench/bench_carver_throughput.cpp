@@ -140,7 +140,9 @@ void BM_CarveLargeImageSerial(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(image.size()));
 }
-BENCHMARK(BM_CarveLargeImageSerial)->UseRealTime()->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CarveLargeImageSerial)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 /// Parallel chunked pipeline, Arg = worker threads. UseRealTime so MB/s
 /// reflects wall clock, not the orchestrating thread's CPU time.

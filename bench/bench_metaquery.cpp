@@ -92,7 +92,8 @@ MetaQueryOptions SpilledOptions(size_t footprint_bytes) {
 }
 
 void RunScenario1(benchmark::State& state, const MetaQueryOptions& options) {
-  const PreparedCarves& carves = CarvesForRows(static_cast<int>(state.range(0)));
+  const PreparedCarves& carves =
+      CarvesForRows(static_cast<int>(state.range(0)));
   MetaQuerySession session(options);
   (void)session.RegisterCarve(carves.disk, "Carv");
   size_t rows = 0;
@@ -121,7 +122,8 @@ BENCHMARK(BM_Scenario1DeletedRows)
 
 /// Same query at a budget of 1/8 of the carve footprint.
 void BM_Scenario1DeletedRowsSpilled(benchmark::State& state) {
-  const PreparedCarves& carves = CarvesForRows(static_cast<int>(state.range(0)));
+  const PreparedCarves& carves =
+      CarvesForRows(static_cast<int>(state.range(0)));
   RunScenario1(state, SpilledOptions(CarveFootprintBytes(carves.disk)));
 }
 BENCHMARK(BM_Scenario1DeletedRowsSpilled)
@@ -129,7 +131,8 @@ BENCHMARK(BM_Scenario1DeletedRowsSpilled)
     ->Unit(benchmark::kMillisecond);
 
 void RunScenario2(benchmark::State& state, const MetaQueryOptions& options) {
-  const PreparedCarves& carves = CarvesForRows(static_cast<int>(state.range(0)));
+  const PreparedCarves& carves =
+      CarvesForRows(static_cast<int>(state.range(0)));
   MetaQuerySession session(options);
   (void)session.RegisterCarve(carves.disk, "CarvDisk");
   (void)session.RegisterCarve(carves.ram, "CarvRAM");
@@ -161,7 +164,8 @@ BENCHMARK(BM_Scenario2DiskRamJoin)
     ->Unit(benchmark::kMillisecond);
 
 void BM_Scenario2DiskRamJoinSpilled(benchmark::State& state) {
-  const PreparedCarves& carves = CarvesForRows(static_cast<int>(state.range(0)));
+  const PreparedCarves& carves =
+      CarvesForRows(static_cast<int>(state.range(0)));
   RunScenario2(state,
                SpilledOptions(std::max(CarveFootprintBytes(carves.disk),
                                        CarveFootprintBytes(carves.ram))));
@@ -204,7 +208,8 @@ BENCHMARK(BM_AggregateOverCarveSpilled);
 /// the budget, compared against the same query fully in memory.
 void RunJoinAggregate(benchmark::State& state,
                       const MetaQueryOptions& options) {
-  const PreparedCarves& carves = CarvesForRows(static_cast<int>(state.range(0)));
+  const PreparedCarves& carves =
+      CarvesForRows(static_cast<int>(state.range(0)));
   MetaQuerySession session(options);
   (void)session.RegisterCarve(carves.disk, "CarvDisk");
   (void)session.RegisterCarve(carves.ram, "CarvRAM");
@@ -233,7 +238,8 @@ BENCHMARK(BM_JoinAggregate)
     ->Unit(benchmark::kMillisecond);
 
 void BM_JoinAggregateSpilled(benchmark::State& state) {
-  const PreparedCarves& carves = CarvesForRows(static_cast<int>(state.range(0)));
+  const PreparedCarves& carves =
+      CarvesForRows(static_cast<int>(state.range(0)));
   RunJoinAggregate(state,
                    SpilledOptions(std::max(CarveFootprintBytes(carves.disk),
                                            CarveFootprintBytes(carves.ram))));

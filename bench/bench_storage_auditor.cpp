@@ -2,13 +2,16 @@
 // the scalability ablation the paper motivates ("we organize the index
 // pointers based on physical location to keep our matching approach
 // scalable"): location-sorted merge matching vs the naive quadratic
-// baseline, as table size grows.
+// baseline, as table size grows. The baseline is the nested-loop
+// reference matcher of tests/oracles/auditor_reference.h; the library
+// ships only the sorted matcher.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <map>
 
 #include "auditor/storage_auditor.h"
+#include "oracles/auditor_reference.h"
 #include "storage/dialects.h"
 #include "workload/synthetic.h"
 
@@ -64,14 +67,10 @@ BENCHMARK(BM_SortedMatching)->Arg(1000)->Arg(4000)->Arg(16000)->Arg(32000);
 
 void BM_NaiveMatching(benchmark::State& state) {
   const CarveResult& carve = CarveForRows(static_cast<int>(state.range(0)));
-  StorageAuditor::Options options;
-  options.sorted_matching = false;
-  StorageAuditor auditor(Config(), options);
   size_t findings = 0;
   for (auto _ : state) {
-    auto report = auditor.AuditCarve(carve);
-    if (!report.ok()) state.SkipWithError("audit failed");
-    findings = report->findings.size();
+    AuditReport report = auditor_internal::AuditCarveReference(carve);
+    findings = report.findings.size();
     benchmark::DoNotOptimize(report);
   }
   state.counters["rows"] = static_cast<double>(state.range(0));

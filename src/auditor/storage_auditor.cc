@@ -21,63 +21,9 @@ const char* FindingKindName(TamperFinding::Kind kind) {
   return "?";
 }
 
-struct LocatedRecord {
-  RowPointer loc;
-  const CarvedRecord* record;
-  std::vector<Value> keys;
-  bool keys_indexed = false;  // at least one non-NULL key component
-};
-
-struct LocatedEntry {
-  RowPointer loc;
-  const CarvedIndexEntry* entry;
-};
-
-}  // namespace
-
-std::string TamperFinding::ToString() const {
-  std::string out = StrFormat("[%s] table %s page %u slot %u",
-                              FindingKindName(kind), table.c_str(), page_id,
-                              slot);
-  if (!record_values.empty()) {
-    out += " record " + RecordToString(record_values);
-  }
-  if (!index_keys.empty()) {
-    out += " index " + index_name + " keys " + RecordToString(index_keys);
-  }
-  return out;
-}
-
-std::string AuditReport::ToString() const {
-  std::string out = StrFormat(
-      "DBStorageAuditor report: %zu index issues, %zu tamper findings "
-      "(checked %zu records, %zu pointers)\n",
-      index_issues.size(), findings.size(), records_checked,
-      pointers_checked);
-  for (const BTreeIssue& issue : index_issues) {
-    out += StrFormat("  [index %u page %u] %s\n", issue.index_object,
-                     issue.page_id, issue.what.c_str());
-  }
-  for (const TamperFinding& f : findings) {
-    out += "  " + f.ToString() + "\n";
-  }
-  return out;
-}
-
-StorageAuditor::StorageAuditor(CarverConfig config)
-    : StorageAuditor(std::move(config), Options()) {}
-
-StorageAuditor::StorageAuditor(CarverConfig config, Options options)
-    : config_(std::move(config)), options_(options) {}
-
-Result<AuditReport> StorageAuditor::Audit(ByteView image) const {
-  Carver carver(config_);
-  DBFA_ASSIGN_OR_RETURN(CarveResult carve, carver.Carve(image));
-  return AuditCarve(carve);
-}
-
-std::vector<uint32_t> StorageAuditor::ReachableLeaves(
-    const CarveResult& carve, uint32_t index_object, uint32_t root) const {
+/// Leaf pages reachable from `root` via carved internal entries.
+std::vector<uint32_t> ReachableLeaves(const CarveResult& carve,
+                                      uint32_t index_object, uint32_t root) {
   // Children per internal page of this object.
   std::map<uint32_t, std::vector<uint32_t>> children;
   std::set<uint32_t> leaves;
@@ -108,9 +54,9 @@ std::vector<uint32_t> StorageAuditor::ReachableLeaves(
   return out;
 }
 
-void StorageAuditor::VerifyBTree(const CarveResult& carve,
-                                 const CarvedIndexMeta& meta,
-                                 AuditReport* report) const {
+/// Stage 1: structural integrity of one B-Tree from its carved pages.
+void VerifyBTree(const CarveResult& carve, const CarvedIndexMeta& meta,
+                 AuditReport* report) {
   // Per-page entry lists in slot (i.e. key) order.
   std::map<uint32_t, std::vector<const CarvedIndexEntry*>> by_page;
   for (const CarvedIndexEntry& e : carve.index_entries) {
@@ -171,144 +117,170 @@ void StorageAuditor::VerifyBTree(const CarveResult& carve,
   }
 }
 
+}  // namespace
+
+std::string TamperFinding::ToString() const {
+  std::string out = StrFormat("[%s] table %s page %u slot %u",
+                              FindingKindName(kind), table.c_str(), page_id,
+                              slot);
+  if (!record_values.empty()) {
+    out += " record " + RecordToString(record_values);
+  }
+  if (!index_keys.empty()) {
+    out += " index " + index_name + " keys " + RecordToString(index_keys);
+  }
+  return out;
+}
+
+std::string AuditReport::ToString() const {
+  std::string out = StrFormat(
+      "DBStorageAuditor report: %zu index issues, %zu tamper findings "
+      "(checked %zu records, %zu pointers)\n",
+      index_issues.size(), findings.size(), records_checked,
+      pointers_checked);
+  for (const BTreeIssue& issue : index_issues) {
+    out += StrFormat("  [index %u page %u] %s\n", issue.index_object,
+                     issue.page_id, issue.what.c_str());
+  }
+  for (const TamperFinding& f : findings) {
+    out += "  " + f.ToString() + "\n";
+  }
+  return out;
+}
+
+StorageAuditor::StorageAuditor(CarverConfig config)
+    : config_(std::move(config)) {}
+
+Result<AuditReport> StorageAuditor::Audit(ByteView image) const {
+  Carver carver(config_);
+  DBFA_ASSIGN_OR_RETURN(CarveResult carve, carver.Carve(image));
+  return AuditCarve(carve);
+}
+
+namespace auditor_internal {
+
+std::optional<IndexMatchInput> GatherMatchInput(const CarveResult& carve,
+                                                const CarvedIndexMeta& meta) {
+  if (meta.dropped) return std::nullopt;
+  auto schema_it = carve.schemas.find(meta.table_object_id);
+  if (schema_it == carve.schemas.end()) return std::nullopt;
+  IndexMatchInput out;
+  out.meta = &meta;
+  out.schema = &schema_it->second;
+  std::vector<int> key_columns;
+  for (const std::string& col : meta.columns) {
+    int ci = out.schema->ColumnIndex(col);
+    if (ci < 0) return std::nullopt;
+    key_columns.push_back(ci);
+  }
+
+  for (const CarvedRecord& r : carve.records) {
+    if (r.object_id != meta.table_object_id ||
+        r.slot == CarvedRecord::kOrphanSlot || !r.typed) {
+      continue;
+    }
+    LocatedRecord lr;
+    lr.loc = {r.page_id, r.slot};
+    lr.record = &r;
+    for (int ci : key_columns) {
+      lr.keys.push_back(static_cast<size_t>(ci) < r.values.size()
+                            ? r.values[ci]
+                            : Value::Null());
+    }
+    for (const Value& k : lr.keys) {
+      if (!k.is_null()) lr.keys_indexed = true;
+    }
+    out.records.push_back(std::move(lr));
+  }
+  std::set<uint32_t> reachable;
+  for (uint32_t leaf :
+       ReachableLeaves(carve, meta.object_id, meta.root_page)) {
+    reachable.insert(leaf);
+  }
+  for (const CarvedIndexEntry& e : carve.index_entries) {
+    if (e.object_id != meta.object_id || !e.leaf) continue;
+    if (reachable.count(e.page_id) == 0) continue;
+    out.entries.push_back({e.pointer, &e});
+  }
+  return out;
+}
+
+void ReportRecord(const IndexMatchInput& index, const LocatedRecord& record,
+                  bool covered, AuditReport* report) {
+  if (covered || record.record->status == RowStatus::kDeleted ||
+      !record.keys_indexed) {
+    return;
+  }
+  TamperFinding f;
+  f.kind = TamperFinding::Kind::kExtraneousRecord;
+  f.table = index.schema->name;
+  f.page_id = record.loc.page_id;
+  f.slot = record.loc.slot;
+  f.record_values = record.record->values;
+  report->findings.push_back(std::move(f));
+}
+
+void ReportEntry(const IndexMatchInput& index, const LocatedEntry& entry,
+                 const LocatedRecord* target, AuditReport* report) {
+  if (target != nullptr &&
+      (target->record->status == RowStatus::kDeleted ||  // residue
+       CompareRecords(entry.entry->keys, target->keys) == 0)) {
+    return;
+  }
+  TamperFinding f;
+  f.kind = target == nullptr ? TamperFinding::Kind::kDanglingPointer
+                             : TamperFinding::Kind::kValueMismatch;
+  f.table = index.schema->name;
+  f.index_name = index.meta->name;
+  f.page_id = entry.loc.page_id;
+  f.slot = entry.loc.slot;
+  if (target != nullptr) f.record_values = target->record->values;
+  f.index_keys = entry.entry->keys;
+  report->findings.push_back(std::move(f));
+}
+
+}  // namespace auditor_internal
+
 Result<AuditReport> StorageAuditor::AuditCarve(const CarveResult& carve) const {
+  using auditor_internal::LocatedEntry;
+  using auditor_internal::LocatedRecord;
   AuditReport report(carve);
   for (const auto& [index_object, meta] : carve.indexes) {
-    if (meta.dropped) continue;
-    auto schema_it = carve.schemas.find(meta.table_object_id);
-    if (schema_it == carve.schemas.end()) continue;
-    const TableSchema& schema = schema_it->second;
-    std::vector<int> key_columns;
-    bool columns_ok = true;
-    for (const std::string& col : meta.columns) {
-      int ci = schema.ColumnIndex(col);
-      if (ci < 0) columns_ok = false;
-      key_columns.push_back(ci);
-    }
-    if (!columns_ok) continue;
-
+    auto index = auditor_internal::GatherMatchInput(carve, meta);
+    if (!index.has_value()) continue;
     VerifyBTree(carve, meta, &report);
-
-    // Gather located records of the table (physical order).
-    std::vector<LocatedRecord> records;
-    for (const CarvedRecord& r : carve.records) {
-      if (r.object_id != meta.table_object_id ||
-          r.slot == CarvedRecord::kOrphanSlot || !r.typed) {
-        continue;
-      }
-      LocatedRecord lr;
-      lr.loc = {r.page_id, r.slot};
-      lr.record = &r;
-      for (int ci : key_columns) {
-        lr.keys.push_back(static_cast<size_t>(ci) < r.values.size()
-                              ? r.values[ci]
-                              : Value::Null());
-      }
-      for (const Value& k : lr.keys) {
-        if (!k.is_null()) lr.keys_indexed = true;
-      }
-      records.push_back(std::move(lr));
-    }
-    // Gather entries on reachable leaves only (orphaned pre-rebuild pages
-    // are residue, not evidence of tampering).
-    std::set<uint32_t> reachable_set;
-    for (uint32_t leaf :
-         ReachableLeaves(carve, meta.object_id, meta.root_page)) {
-      reachable_set.insert(leaf);
-    }
-    std::vector<LocatedEntry> entries;
-    for (const CarvedIndexEntry& e : carve.index_entries) {
-      if (e.object_id != index_object || !e.leaf) continue;
-      if (reachable_set.count(e.page_id) == 0) continue;
-      entries.push_back({e.pointer, &e});
-    }
+    std::vector<LocatedRecord>& records = index->records;
+    std::vector<LocatedEntry>& entries = index->entries;
     report.records_checked += records.size();
     report.pointers_checked += entries.size();
 
-    auto report_record = [&](const LocatedRecord& lr, bool covered) {
-      if (covered || lr.record->status == RowStatus::kDeleted ||
-          !lr.keys_indexed) {
-        return;
+    // Sort both sides by physical location and merge — the paper's
+    // scalable organization of deconstructed pointers.
+    std::sort(records.begin(), records.end(),
+              [](const LocatedRecord& a, const LocatedRecord& b) {
+                return a.loc < b.loc;
+              });
+    std::sort(entries.begin(), entries.end(),
+              [](const LocatedEntry& a, const LocatedEntry& b) {
+                return a.loc < b.loc;
+              });
+    size_t j = 0;
+    for (const LocatedRecord& lr : records) {
+      while (j < entries.size() && entries[j].loc < lr.loc) {
+        // No record at this location.
+        auditor_internal::ReportEntry(*index, entries[j], nullptr, &report);
+        ++j;
       }
-      TamperFinding f;
-      f.kind = TamperFinding::Kind::kExtraneousRecord;
-      f.table = schema.name;
-      f.page_id = lr.loc.page_id;
-      f.slot = lr.loc.slot;
-      f.record_values = lr.record->values;
-      report.findings.push_back(std::move(f));
-    };
-    auto report_entry = [&](const LocatedEntry& le,
-                            const LocatedRecord* target) {
-      if (target == nullptr) {
-        TamperFinding f;
-        f.kind = TamperFinding::Kind::kDanglingPointer;
-        f.table = schema.name;
-        f.index_name = meta.name;
-        f.page_id = le.loc.page_id;
-        f.slot = le.loc.slot;
-        f.index_keys = le.entry->keys;
-        report.findings.push_back(std::move(f));
-        return;
+      bool covered = false;
+      while (j < entries.size() && entries[j].loc == lr.loc) {
+        auditor_internal::ReportEntry(*index, entries[j], &lr, &report);
+        covered = true;
+        ++j;
       }
-      if (target->record->status == RowStatus::kDeleted) return;  // residue
-      if (CompareRecords(le.entry->keys, target->keys) != 0) {
-        TamperFinding f;
-        f.kind = TamperFinding::Kind::kValueMismatch;
-        f.table = schema.name;
-        f.index_name = meta.name;
-        f.page_id = le.loc.page_id;
-        f.slot = le.loc.slot;
-        f.record_values = target->record->values;
-        f.index_keys = le.entry->keys;
-        report.findings.push_back(std::move(f));
-      }
-    };
-
-    if (options_.sorted_matching) {
-      // Sort both sides by physical location and merge — the paper's
-      // scalable organization of deconstructed pointers.
-      std::sort(records.begin(), records.end(),
-                [](const LocatedRecord& a, const LocatedRecord& b) {
-                  return a.loc < b.loc;
-                });
-      std::sort(entries.begin(), entries.end(),
-                [](const LocatedEntry& a, const LocatedEntry& b) {
-                  return a.loc < b.loc;
-                });
-      size_t j = 0;
-      for (const LocatedRecord& lr : records) {
-        while (j < entries.size() && entries[j].loc < lr.loc) {
-          report_entry(entries[j], nullptr);  // no record at this location
-          ++j;
-        }
-        bool covered = false;
-        while (j < entries.size() && entries[j].loc == lr.loc) {
-          report_entry(entries[j], &lr);
-          covered = true;
-          ++j;
-        }
-        report_record(lr, covered);
-      }
-      for (; j < entries.size(); ++j) {
-        report_entry(entries[j], nullptr);
-      }
-    } else {
-      // Naive quadratic baseline (ablation).
-      for (const LocatedRecord& lr : records) {
-        bool covered = false;
-        for (const LocatedEntry& le : entries) {
-          if (le.loc == lr.loc) covered = true;
-        }
-        report_record(lr, covered);
-      }
-      for (const LocatedEntry& le : entries) {
-        const LocatedRecord* target = nullptr;
-        for (const LocatedRecord& lr : records) {
-          if (lr.loc == le.loc) target = &lr;
-        }
-        report_entry(le, target);
-      }
+      auditor_internal::ReportRecord(*index, lr, covered, &report);
+    }
+    for (; j < entries.size(); ++j) {
+      auditor_internal::ReportEntry(*index, entries[j], nullptr, &report);
     }
   }
   return report;

@@ -8,8 +8,9 @@
 //
 // Stage 2 deconstructs every index pointer, sorts pointers by physical
 // location, and merge-matches them against the (physically ordered) table
-// records — the scalable approach of the paper; a naive quadratic matcher
-// is provided as the ablation baseline. Discrepancies:
+// records — the scalable approach of the paper. The naive nested-loop
+// matcher it replaces is kept outside the library, as the test oracle and
+// ablation baseline in tests/oracles/auditor_reference.h. Discrepancies:
 //   * extraneous record — an active record reached by no index entry
 //     (smuggled in at byte level);
 //   * dangling pointer  — an entry pointing at a slot that is missing or
@@ -21,7 +22,7 @@
 #ifndef DBFA_AUDITOR_STORAGE_AUDITOR_H_
 #define DBFA_AUDITOR_STORAGE_AUDITOR_H_
 
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -67,15 +68,7 @@ struct AuditReport {
 
 class StorageAuditor {
  public:
-  struct Options {
-    /// Use the physical-location-sorted merge matcher (the paper's
-    /// scalable approach); false switches to the naive nested-loop
-    /// baseline for the ablation benchmark.
-    bool sorted_matching = true;
-  };
-
   explicit StorageAuditor(CarverConfig config);
-  StorageAuditor(CarverConfig config, Options options);
 
   /// Carves `image` and audits every table that has at least one index.
   Result<AuditReport> Audit(ByteView image) const;
@@ -84,17 +77,55 @@ class StorageAuditor {
   Result<AuditReport> AuditCarve(const CarveResult& carve) const;
 
  private:
-  /// Leaf pages reachable from `root` via carved internal entries.
-  std::vector<uint32_t> ReachableLeaves(const CarveResult& carve,
-                                        uint32_t index_object,
-                                        uint32_t root) const;
-
-  void VerifyBTree(const CarveResult& carve, const CarvedIndexMeta& meta,
-                   AuditReport* report) const;
-
   CarverConfig config_;
-  Options options_;
 };
+
+// Stage 2's inputs and finding rules, as AuditCarve uses them; the
+// reference matcher in tests/oracles/ pairs the same inputs by nested loops.
+namespace auditor_internal {
+
+/// A typed, slotted table record with its key for one index.
+struct LocatedRecord {
+  RowPointer loc;
+  const CarvedRecord* record = nullptr;
+  std::vector<Value> keys;
+  bool keys_indexed = false;  // at least one non-NULL key component
+};
+
+/// A leaf entry of one index, located by the record pointer it carries.
+struct LocatedEntry {
+  RowPointer loc;
+  const CarvedIndexEntry* entry = nullptr;
+};
+
+/// One index's side of stage 2: its table's located records and the
+/// entries on its reachable leaves, both in carve order.
+struct IndexMatchInput {
+  const CarvedIndexMeta* meta = nullptr;
+  const TableSchema* schema = nullptr;
+  std::vector<LocatedRecord> records;
+  std::vector<LocatedEntry> entries;
+};
+
+/// Gathers `meta`'s match input from `carve`, or nullopt when the index is
+/// dropped or its table schema or key columns do not resolve (not audited).
+/// Entries on leaves unreachable from the root are residue of a rebuild,
+/// not evidence of tampering, and are left out.
+std::optional<IndexMatchInput> GatherMatchInput(const CarveResult& carve,
+                                                const CarvedIndexMeta& meta);
+
+/// Reports `record` as extraneous unless an entry covers it, it is
+/// delete-marked, or its key is entirely NULL.
+void ReportRecord(const IndexMatchInput& index, const LocatedRecord& record,
+                  bool covered, AuditReport* report);
+
+/// Reports `entry` as a dangling pointer when no record sits at its
+/// location (`target` null), or as a value mismatch when its key disagrees
+/// with the live record there.
+void ReportEntry(const IndexMatchInput& index, const LocatedEntry& entry,
+                 const LocatedRecord* target, AuditReport* report);
+
+}  // namespace auditor_internal
 
 }  // namespace dbfa
 

@@ -75,13 +75,17 @@ std::string_view Trim(std::string_view s) {
 
 std::string ToLower(std::string_view s) {
   std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  for (char& c : out) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
   return out;
 }
 
 std::string ToUpper(std::string_view s) {
   std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+  for (char& c : out) {
+    c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+  }
   return out;
 }
 

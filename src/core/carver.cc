@@ -366,7 +366,9 @@ void Carver::CarveDataPage(ByteView page, size_t page_index,
         carved.typed = true;
       }
     }
-    if (!carved.typed) carved.values = fmt_.DecodeUntyped(rec, StringCells::kUnresolved);
+    if (!carved.typed) {
+      carved.values = fmt_.DecodeUntyped(rec, StringCells::kUnresolved);
+    }
     out->push_back(std::move(carved));
   }
 
@@ -397,7 +399,9 @@ void Carver::CarveDataPage(ByteView page, size_t page_index,
         carved.typed = true;
       }
     }
-    if (!carved.typed) carved.values = fmt_.DecodeUntyped(raw, StringCells::kUnresolved);
+    if (!carved.typed) {
+      carved.values = fmt_.DecodeUntyped(raw, StringCells::kUnresolved);
+    }
     out->push_back(std::move(carved));
   }
 }

@@ -525,7 +525,7 @@ Status InferLsn(Context* ctx) {
   return Status::Ok();
 }
 
-// ---- step 7: checksum --------------------------------------------------------
+// ---- step 7: checksum -------------------------------------------------------
 
 Status InferChecksum(Context* ctx) {
   // Runs last among the header steps: XOR-style folds make the whole page
@@ -581,7 +581,7 @@ Status InferChecksum(Context* ctx) {
   return Status::Ok();
 }
 
-// ---- step 8: slot directory --------------------------------------------------
+// ---- step 8: slot directory -------------------------------------------------
 
 Status InferSlots(Context* ctx) {
   auto validate = [&](SlotPlacement placement, uint16_t entry_size,
@@ -673,7 +673,7 @@ std::vector<uint16_t> SlotOffsets(const Context& ctx, ByteView page,
   return out;
 }
 
-// ---- step 9: record framing ---------------------------------------------------
+// ---- step 9: record framing -------------------------------------------------
 
 Status InferRecordShape(Context* ctx) {
   // Gather record starts from slot offsets on A pages.
@@ -797,7 +797,7 @@ Status InferRecordShape(Context* ctx) {
   return Status::Ok();
 }
 
-// ---- step 10+11: free-space and next-page fields -------------------------------
+// ---- step 10+11: free-space and next-page fields ----------------------------
 
 Status InferFreeSpaceAndChain(Context* ctx) {
   // Expected boundary per A page.
@@ -867,7 +867,7 @@ Status InferFreeSpaceAndChain(Context* ctx) {
   return Status::NotFound("no next-page chain field");
 }
 
-// ---- step 12: delete strategy ----------------------------------------------------
+// ---- step 12: delete strategy -----------------------------------------------
 
 Status InferDeleteStrategy(Context* ctx) {
   std::string victim = MarkerA(ctx->options.delete_victim);
@@ -955,7 +955,7 @@ Status InferDeleteStrategy(Context* ctx) {
   return Status::NotFound("delete probe changed no classifiable byte");
 }
 
-// ---- step 13: index entries -----------------------------------------------------
+// ---- step 13: index entries -------------------------------------------------
 
 Status InferIndexFormat(Context* ctx) {
   // Leaf pages: non-data pages that contain many plausible key values.
@@ -975,7 +975,9 @@ Status InferIndexFormat(Context* ctx) {
     if (count == 0 || count > ctx->p.page_size / 8) continue;
     auto offsets = SlotOffsets(*ctx, page, count);
     for (uint16_t off : offsets) {
-      if (off == 0 || static_cast<uint32_t>(off) + 16 >= ctx->p.page_size) continue;
+      if (off == 0 || static_cast<uint32_t>(off) + 16 >= ctx->p.page_size) {
+        continue;
+      }
       uint16_t len = RdU16(page, off + 2, ctx->p.big_endian);
       if (len < 16 || off + len > ctx->p.page_size) continue;
       // Tail structure: key_count=1, type=int(1), len=8, key bytes.

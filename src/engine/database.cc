@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/strings.h"
+#include "sql/bound_expr.h"
 #include "sql/parser.h"
 #include "storage/dialects.h"
 #include "storage/disk_image.h"
@@ -205,7 +206,7 @@ BTree* Database::index(const std::string& table,
   return nullptr;
 }
 
-// ---- DDL ---------------------------------------------------------------------
+// ---- DDL --------------------------------------------------------------------
 
 Status Database::DoCreateTable(const TableSchema& schema) {
   if (schema.columns.empty()) {
@@ -294,7 +295,7 @@ Status Database::DoDropTable(const std::string& table) {
   return catalog_.DropTable(table);
 }
 
-// ---- constraints ----------------------------------------------------------------
+// ---- constraints ------------------------------------------------------------
 
 Status Database::CheckConstraints(const TableInfo& info,
                                   const Record& record,
@@ -402,7 +403,7 @@ Status Database::CheckConstraints(const TableInfo& info,
   return Status::Ok();
 }
 
-// ---- DML ----------------------------------------------------------------------
+// ---- DML --------------------------------------------------------------------
 
 Status Database::InsertIndexEntries(const TableInfo& info,
                                     const Record& record, RowPointer ptr) {
@@ -519,9 +520,19 @@ std::optional<Database::IndexBounds> Database::ChooseIndex(
 Result<std::vector<std::pair<RowPointer, Record>>> Database::MatchRows(
     const TableInfo& info, const sql::ExprPtr& where,
     const std::string& qualifier) {
+  // Bind once per statement: an unknown column fails here, before any row
+  // is read, whether or not the table has rows.
+  sql::BoundExprPtr bound;
+  if (where != nullptr) {
+    sql::ColumnResolver resolver =
+        sql::MakeSchemaResolver(info.schema.ColumnNames(), qualifier);
+    DBFA_ASSIGN_OR_RETURN(bound, sql::BindExpr(*where, resolver));
+  }
+  auto matches = [&](const Record& row) -> Result<bool> {
+    if (bound == nullptr) return true;
+    return sql::EvalBoundPredicate(*bound, row);
+  };
   std::vector<std::pair<RowPointer, Record>> out;
-  std::vector<std::string> names;
-  for (const Column& c : info.schema.columns) names.push_back(c.name);
   TableHeap* heap = HeapFor(info);
 
   auto bounds = ChooseIndex(info, where.get());
@@ -536,12 +547,8 @@ Result<std::vector<std::pair<RowPointer, Record>>> Database::MatchRows(
       // Stale entries can also point at a *reused* slot; verify keys.
       std::vector<Value> live_keys = tree->ExtractKeys(*row);
       if (CompareRecords(live_keys, e.keys) != 0) continue;
-      bool matches = true;
-      if (where != nullptr) {
-        sql::RecordBinding binding(names, *row, qualifier);
-        DBFA_ASSIGN_OR_RETURN(matches, sql::EvalPredicate(*where, binding));
-      }
-      if (matches) out.emplace_back(e.pointer, *row);
+      DBFA_ASSIGN_OR_RETURN(bool match, matches(*row));
+      if (match) out.emplace_back(e.pointer, *row);
     }
     // Index scans can return rows in key order with duplicates from stale
     // entries already filtered; physical order is not guaranteed.
@@ -550,12 +557,8 @@ Result<std::vector<std::pair<RowPointer, Record>>> Database::MatchRows(
 
   last_access_path_ = AccessPath::kFullScan;
   Status scan = heap->Scan([&](RowPointer ptr, const Record& row) {
-    bool matches = true;
-    if (where != nullptr) {
-      sql::RecordBinding binding(names, row, qualifier);
-      DBFA_ASSIGN_OR_RETURN(matches, sql::EvalPredicate(*where, binding));
-    }
-    if (matches) out.emplace_back(ptr, row);
+    DBFA_ASSIGN_OR_RETURN(bool match, matches(row));
+    if (match) out.emplace_back(ptr, row);
     return Status::Ok();
   });
   DBFA_RETURN_IF_ERROR(scan);
@@ -618,27 +621,27 @@ Result<QueryResult> Database::DoSelect(const sql::SelectStmt& stmt) {
   DBFA_ASSIGN_OR_RETURN(auto rows, MatchRows(*info, stmt.where, qualifier));
 
   QueryResult result;
-  std::vector<std::string> names;
-  for (const Column& c : info->schema.columns) names.push_back(c.name);
-  // Resolve projections.
-  std::vector<const sql::Expr*> exprs;
+  std::vector<std::string> names = info->schema.ColumnNames();
+  // Bind projections once.
+  sql::ColumnResolver resolver = sql::MakeSchemaResolver(names, qualifier);
+  std::vector<sql::BoundExprPtr> exprs;
   for (const sql::SelectItem& item : stmt.items) {
     if (item.star) {
       for (const std::string& n : names) result.columns.push_back(n);
       exprs.push_back(nullptr);  // marker: expand all
     } else {
       result.columns.push_back(item.OutputName());
-      exprs.push_back(item.expr.get());
+      DBFA_ASSIGN_OR_RETURN(exprs.emplace_back(),
+                            sql::BindExpr(*item.expr, resolver));
     }
   }
   for (const auto& [ptr, row] : rows) {
     Record out_row;
-    sql::RecordBinding binding(names, row, qualifier);
-    for (const sql::Expr* e : exprs) {
+    for (const sql::BoundExprPtr& e : exprs) {
       if (e == nullptr) {
         for (const Value& v : row) out_row.push_back(v);
       } else {
-        DBFA_ASSIGN_OR_RETURN(Value v, sql::Eval(*e, binding));
+        DBFA_ASSIGN_OR_RETURN(Value v, sql::EvalBound(*e, row));
         out_row.push_back(std::move(v));
       }
     }

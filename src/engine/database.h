@@ -122,6 +122,22 @@ class Database {
   /// version will receive; updates also consume ids for their new version.
   uint64_t next_row_id() const { return next_row_id_; }
 
+  // ---- planner -------------------------------------------------------------
+
+  struct IndexBounds {
+    const IndexInfo* index = nullptr;
+    std::optional<Value> lo;  // inclusive; nullopt = unbounded
+    std::optional<Value> hi;  // inclusive; nullopt = unbounded
+  };
+  /// The access path Select/Delete/Update take for `where` over `info`:
+  /// the first index in catalog order whose leading column the conjuncts
+  /// of `where` bound (=, <, <=, >, >= against a literal; <> bounds
+  /// nothing), or nullopt for a full scan. `lo == hi` is a point lookup.
+  /// Reads only its arguments, so planners outside the engine (PLI's query
+  /// reorderer) predict the path the engine will take.
+  static std::optional<IndexBounds> ChooseIndex(const TableInfo& info,
+                                                const sql::Expr* where);
+
   /// nullptr when the table does not exist.
   TableHeap* heap(const std::string& table);
   /// nullptr when absent. PK indexes are named "pk_<table>".
@@ -150,15 +166,6 @@ class Database {
   /// the primary-key uniqueness check.
   Status CheckConstraints(const TableInfo& info, const Record& record,
                           const RowPointer* self = nullptr);
-
-  struct IndexBounds {
-    const IndexInfo* index = nullptr;
-    std::optional<Value> lo;
-    std::optional<Value> hi;
-  };
-  /// Picks an index whose leading column is bounded by the predicate.
-  std::optional<IndexBounds> ChooseIndex(const TableInfo& info,
-                                         const sql::Expr* where);
 
   /// Rows matching `where` (nullptr = all), choosing index vs full scan.
   Result<std::vector<std::pair<RowPointer, Record>>> MatchRows(

@@ -122,7 +122,9 @@ std::vector<Mutation> MinimizeMutations(
       std::vector<Mutation> candidate;
       candidate.reserve(current.size());
       for (size_t i = 0; i < current.size(); ++i) {
-        if (i < start || i >= start + chunk_len) candidate.push_back(current[i]);
+        if (i < start || i >= start + chunk_len) {
+          candidate.push_back(current[i]);
+        }
       }
       if (candidate.empty()) continue;
       if (fails(candidate)) {

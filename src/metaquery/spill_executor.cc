@@ -508,7 +508,8 @@ Status MergeTaggedBySeq(
   for (size_t i = 0; i < parts.size(); ++i) {
     Head& h = heads[i];
     DBFA_ASSIGN_OR_RETURN(h.cursor, parts[i].OpenCursor());
-    DBFA_ASSIGN_OR_RETURN(bool live, h.cursor.Next(&h.seq, &h.scratch, &h.view));
+    DBFA_ASSIGN_OR_RETURN(bool live,
+                          h.cursor.Next(&h.seq, &h.scratch, &h.view));
     if (live) heap.push_back({h.seq, i});
   }
   std::make_heap(heap.begin(), heap.end(), later);
@@ -518,7 +519,8 @@ Status MergeTaggedBySeq(
     heap.pop_back();
     Head& h = heads[i];
     DBFA_RETURN_IF_ERROR(emit(h.seq, *h.view));
-    DBFA_ASSIGN_OR_RETURN(bool live, h.cursor.Next(&h.seq, &h.scratch, &h.view));
+    DBFA_ASSIGN_OR_RETURN(bool live,
+                          h.cursor.Next(&h.seq, &h.scratch, &h.view));
     if (live) {
       heap.push_back({h.seq, i});
       std::push_heap(heap.begin(), heap.end(), later);

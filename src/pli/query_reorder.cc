@@ -54,43 +54,6 @@ class SimCache {
   std::map<SimKey, std::list<SimKey>::iterator> resident_;
 };
 
-/// Whether `where` bounds the leading column of any index of `info`
-/// (a simplified mirror of the engine's planner).
-const IndexInfo* UsableIndex(const TableInfo& info, const sql::Expr* where,
-                             bool* is_equality) {
-  if (where == nullptr) return nullptr;
-  std::vector<const sql::Expr*> stack = {where};
-  while (!stack.empty()) {
-    const sql::Expr* e = stack.back();
-    stack.pop_back();
-    if (e->kind == sql::ExprKind::kAnd) {
-      stack.push_back(e->lhs.get());
-      stack.push_back(e->rhs.get());
-      continue;
-    }
-    if (e->kind != sql::ExprKind::kCompare) continue;
-    const sql::Expr* col = nullptr;
-    if (e->lhs->kind == sql::ExprKind::kColumn &&
-        e->rhs->kind == sql::ExprKind::kLiteral) {
-      col = e->lhs.get();
-    } else if (e->rhs->kind == sql::ExprKind::kColumn &&
-               e->lhs->kind == sql::ExprKind::kLiteral) {
-      col = e->rhs.get();
-    }
-    if (col == nullptr) continue;
-    std::string bare = col->column;
-    size_t dot = bare.find('.');
-    if (dot != std::string::npos) bare = bare.substr(dot + 1);
-    for (const IndexInfo& index : info.indexes) {
-      if (EqualsIgnoreCase(index.columns[0], bare)) {
-        *is_equality = e->compare_op == sql::CompareOp::kEq;
-        return &index;
-      }
-    }
-  }
-  return nullptr;
-}
-
 }  // namespace
 
 std::string ReorderPlan::ToString() const {
@@ -120,10 +83,11 @@ Result<ReorderPlan> QueryReorderer::Plan(
     uint32_t heap_pages = heap_file == nullptr ? 0 : heap_file->page_count();
 
     std::vector<SimKey> pages;
-    bool is_equality = false;
-    const IndexInfo* index = UsableIndex(*info, select->where.get(),
-                                         &is_equality);
-    if (index != nullptr) {
+    auto bounds = Database::ChooseIndex(*info, select->where.get());
+    if (bounds.has_value()) {
+      const IndexInfo* index = bounds->index;
+      bool is_equality = bounds->lo.has_value() && bounds->hi.has_value() &&
+                         Value::Compare(*bounds->lo, *bounds->hi) == 0;
       BTree* tree = db->index(info->schema.name, index->name);
       if (tree != nullptr) {
         DBFA_ASSIGN_OR_RETURN(auto index_pages, tree->ReachablePages());

@@ -6,9 +6,9 @@
 //
 // Given a batch of pending SELECT statements and the current buffer-cache
 // contents, the reorderer estimates the page set each query touches (full
-// table scan vs. index scan, mirroring the engine's planner), then greedily
-// schedules the query with the fewest uncached pages next, simulating
-// cache evolution as it goes.
+// table scan or index scan, as the engine's planner Database::ChooseIndex
+// picks it), then greedily schedules the query with the fewest uncached
+// pages next, simulating cache evolution as it goes.
 #ifndef DBFA_PLI_QUERY_REORDER_H_
 #define DBFA_PLI_QUERY_REORDER_H_
 

@@ -6,18 +6,11 @@
 #include <utility>
 
 #include "common/strings.h"
+#include "sql/bound_expr.h"
 #include "sql/statement.h"
 
 namespace dbfa {
 namespace {
-
-/// Column-name list of a schema, for binding WHERE predicates.
-std::vector<std::string> ColumnNames(const TableSchema& schema) {
-  std::vector<std::string> names;
-  names.reserve(schema.columns.size());
-  for (const Column& c : schema.columns) names.push_back(c.name);
-  return names;
-}
 
 /// Rows of `table` matching `where` (nullptr = all) in the replayed engine
 /// right now — the pre-images a DELETE/UPDATE is about to consume.
@@ -28,12 +21,16 @@ Result<std::vector<Record>> MatchingRows(Database* db,
   if (info == nullptr) return std::vector<Record>{};
   TableHeap* heap = db->heap(table);
   if (heap == nullptr) return std::vector<Record>{};
-  std::vector<std::string> names = ColumnNames(info->schema);
+  sql::BoundExprPtr bound;
+  if (where != nullptr) {
+    sql::ColumnResolver resolver = sql::MakeSchemaResolver(
+        info->schema.ColumnNames(), info->schema.name);
+    DBFA_ASSIGN_OR_RETURN(bound, sql::BindExpr(*where, resolver));
+  }
   std::vector<Record> rows;
   Status scan = heap->Scan([&](RowPointer, const Record& r) {
-    if (where != nullptr) {
-      sql::RecordBinding binding(names, r, info->schema.name);
-      DBFA_ASSIGN_OR_RETURN(bool match, sql::EvalPredicate(*where, binding));
+    if (bound != nullptr) {
+      DBFA_ASSIGN_OR_RETURN(bool match, sql::EvalBoundPredicate(*bound, r));
       if (!match) return Status::Ok();
     }
     rows.push_back(r);

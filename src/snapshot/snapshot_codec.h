@@ -12,9 +12,9 @@
 //                  through the bit-exact sql/row_codec Value codec).
 //
 // The entries are stored as blocks of the repository file
-// (common/file_io.h), whose framing detects torn and bit-flipped blocks. Every decode path is
-// bounds-checked against hostile input: repository files are evidence and
-// may be handed to us tampered.
+// (common/file_io.h), whose framing detects torn and bit-flipped blocks.
+// Every decode path is bounds-checked against hostile input: repository
+// files are evidence and may be handed to us tampered.
 #ifndef DBFA_SNAPSHOT_SNAPSHOT_CODEC_H_
 #define DBFA_SNAPSHOT_SNAPSHOT_CODEC_H_
 

@@ -816,8 +816,8 @@ std::vector<SnapshotInfo> SnapshotRepo::List() const {
 Result<CarveResult> SnapshotRepo::AssembleCarve(uint64_t id) {
   const Snapshot* snap = FindSnapshot(id);
   if (snap == nullptr) {
-    return Status::NotFound(StrFormat(
-        "snapshot %llu not in repository", static_cast<unsigned long long>(id)));
+    return Status::NotFound(StrFormat("snapshot %llu not in repository",
+                                      static_cast<unsigned long long>(id)));
   }
   std::vector<size_t> every_page(snap->pages.size());
   std::iota(every_page.begin(), every_page.end(), size_t{0});

@@ -1,17 +1,21 @@
-// One-time binding of expressions to flat column indices.
+// The SQL evaluator: expressions bound once to flat column indices.
 //
-// The tuple-at-a-time evaluator (expr.h) resolves every column reference
-// by a case-insensitive name scan on every row. That is the right tool for
-// one-off evaluation, but it dominates the hot paths of the meta-query
-// executor and DBDetective, which evaluate the same expression against
-// hundreds of thousands of carved records. BindExpr resolves each column
-// reference to a flat index into the row exactly once at plan time; the
-// bound tree is then evaluated with direct vector indexing and no string
-// comparisons. Function names are resolved to an enum at bind time for the
-// same reason.
+// Every production path that evaluates SQL — MiniDB's WHERE clauses and
+// select items, the reenactor's replay, DBDetective's Figure-4 matcher and
+// the meta-query executor — binds its expression here once per statement
+// (or per carved schema), then evaluates the bound tree per row with
+// direct vector indexing and no string comparisons. BindExpr resolves each
+// column reference to a flat index and each function name to an enum, so
+// an unknown column or function is reported once, at bind time (NotFound
+// "unknown column: X" / Unimplemented "unknown function: F"), even when
+// the table is empty or AND/OR would never reach the bad name.
 //
-// Semantics match Eval/EvalPredicate exactly, except that unknown columns
-// and unknown functions are reported once at bind time instead of per row.
+// NULL semantics are simplified two-valued logic: any comparison involving
+// NULL yields NULL, and NULL is treated as false wherever a boolean is
+// required. IS NULL / IS NOT NULL test NULL-ness directly.
+//
+// The name-resolving, per-row evaluator this replaces is kept as a
+// test-only oracle (tests/oracles/expr_reference.h).
 #ifndef DBFA_SQL_BOUND_EXPR_H_
 #define DBFA_SQL_BOUND_EXPR_H_
 
@@ -60,8 +64,9 @@ using BoundExprPtr = std::unique_ptr<BoundExpr>;
 Result<BoundExprPtr> BindExpr(const Expr& e, const ColumnResolver& resolver);
 
 /// Resolver over one column-name list with an optional qualifier accepted
-/// as "<qualifier>.<name>" — the same rule as RecordBinding::Lookup. The
-/// names are copied, so the resolver may outlive the originals.
+/// as "<qualifier>.<name>"; a name with any other qualifier does not
+/// resolve. The names are copied, so the resolver may outlive the
+/// originals.
 ColumnResolver MakeSchemaResolver(std::vector<std::string> names,
                                   std::string qualifier);
 
@@ -79,13 +84,13 @@ struct JoinRowView {
   }
 };
 
-/// Evaluates a bound expression against a flat row (NULL propagates, as in
-/// Eval). A column index beyond the row is an internal error: binding
+/// Evaluates a bound expression against a flat row (NULL propagates). A
+/// column index beyond the row is an internal error: binding
 /// guarantees indices are in range for rows of the bound width.
 Result<Value> EvalBound(const BoundExpr& e, const Record& row);
 Result<Value> EvalBound(const BoundExpr& e, const JoinRowView& row);
 
-/// Predicate form: NULL results become false (as in EvalPredicate).
+/// Predicate form: NULL results become false.
 /// Comparisons, LIKE and IS NULL over columns and literals are evaluated
 /// in place, without copying cell values through the general evaluator.
 Result<bool> EvalBoundPredicate(const BoundExpr& e, const Record& row);

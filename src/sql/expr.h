@@ -1,21 +1,17 @@
-// Expression AST and evaluator.
+// Expression AST: node kinds, constructors and SQL rendering.
 //
 // Expressions appear in WHERE clauses of logged statements (DBDetective
 // re-evaluates them against carved records to attribute deletions — Figure
-// 4), in meta-queries over carved relations, and in SELECT item lists
-// (arithmetic inside aggregates for the SSBM queries).
-//
-// NULL semantics are simplified two-valued logic: any comparison involving
-// NULL yields NULL, and NULL is treated as false wherever a boolean is
-// required. IS NULL / IS NOT NULL test NULL-ness directly.
+// 4), in meta-queries over carved relations, in SELECT item lists
+// (arithmetic inside aggregates for the SSBM queries), and in the WHERE
+// clauses MiniDB executes. All of them are evaluated the same way: bound
+// once to column indices (sql/bound_expr.h), then run per row.
 #ifndef DBFA_SQL_EXPR_H_
 #define DBFA_SQL_EXPR_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 
-#include "common/status.h"
 #include "storage/value.h"
 
 namespace dbfa::sql {
@@ -72,40 +68,6 @@ ExprPtr MakeLike(ExprPtr lhs, std::string pattern, bool negated);
 ExprPtr MakeIsNull(ExprPtr lhs, bool negated);
 ExprPtr MakeArith(ArithOp op, ExprPtr lhs, ExprPtr rhs);
 ExprPtr MakeFunc(std::string name, ExprPtr arg);
-
-/// Resolves column references during evaluation. Implementations decide how
-/// to treat qualified names and unknown columns.
-class ColumnBinding {
- public:
-  virtual ~ColumnBinding() = default;
-  /// Returns the column's value, or nullopt when the name does not resolve.
-  virtual std::optional<Value> Lookup(std::string_view name) const = 0;
-};
-
-/// Binding over a single record + column-name list (optionally with a
-/// qualifier accepted as "<qualifier>.<name>").
-class RecordBinding : public ColumnBinding {
- public:
-  RecordBinding(const std::vector<std::string>& names, const Record& record,
-                std::string qualifier = "")
-      : names_(names), record_(record), qualifier_(std::move(qualifier)) {}
-
-  std::optional<Value> Lookup(std::string_view name) const override;
-
- private:
-  const std::vector<std::string>& names_;
-  const Record& record_;
-  std::string qualifier_;
-};
-
-/// Evaluates to a Value (NULL propagates). Unknown columns are errors.
-Result<Value> Eval(const Expr& e, const ColumnBinding& binding);
-
-/// Evaluates as a predicate: NULL/unknown results become false.
-Result<bool> EvalPredicate(const Expr& e, const ColumnBinding& binding);
-
-/// Collects every column name referenced by `e`.
-void CollectColumns(const Expr& e, std::vector<std::string>* out);
 
 }  // namespace dbfa::sql
 

@@ -186,13 +186,10 @@ Result<ExprPtr> Parser::ParseNotExpr() {
 Result<ExprPtr> Parser::ParsePredicate() {
   DBFA_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAdditive());
   // comparison operators
-  for (auto [sym, op] : std::initializer_list<std::pair<const char*, CompareOp>>{
-           {"<=", CompareOp::kLe},
-           {">=", CompareOp::kGe},
-           {"<>", CompareOp::kNe},
-           {"=", CompareOp::kEq},
-           {"<", CompareOp::kLt},
-           {">", CompareOp::kGt}}) {
+  static constexpr std::pair<const char*, CompareOp> kOps[] = {
+      {"<=", CompareOp::kLe}, {">=", CompareOp::kGe}, {"<>", CompareOp::kNe},
+      {"=", CompareOp::kEq},  {"<", CompareOp::kLt},  {">", CompareOp::kGt}};
+  for (auto [sym, op] : kOps) {
     if (PeekSymbol(sym)) {
       Next();
       DBFA_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAdditive());

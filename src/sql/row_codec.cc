@@ -100,7 +100,8 @@ Status DecodeValue(std::string_view buf, size_t* pos, Value* out) {
     return Status::Corruption("row codec: truncated input");
   }
   const uint8_t* p = reinterpret_cast<const uint8_t*>(buf.data()) + *pos;
-  const uint8_t* end = reinterpret_cast<const uint8_t*>(buf.data()) + buf.size();
+  const uint8_t* end =
+      reinterpret_cast<const uint8_t*>(buf.data()) + buf.size();
   DBFA_RETURN_IF_ERROR(DecodeValueAt(&p, end, out, nullptr));
   *pos = static_cast<size_t>(p - reinterpret_cast<const uint8_t*>(buf.data()));
   return Status::Ok();
@@ -112,7 +113,8 @@ Status DecodeRecord(std::string_view buf, size_t* pos, Record* out,
     return Status::Corruption("row codec: truncated input");
   }
   const uint8_t* p = reinterpret_cast<const uint8_t*>(buf.data()) + *pos;
-  const uint8_t* end = reinterpret_cast<const uint8_t*>(buf.data()) + buf.size();
+  const uint8_t* end =
+      reinterpret_cast<const uint8_t*>(buf.data()) + buf.size();
   uint32_t n = ReadU32(p, false);
   p += 4;
   // A record cannot hold more values than bytes remaining (every value is

@@ -135,7 +135,9 @@ std::string SelectStmt::ToSql() const {
       if (order_by[i].descending) out += " DESC";
     }
   }
-  if (limit >= 0) out += StrFormat(" LIMIT %lld", static_cast<long long>(limit));
+  if (limit >= 0) {
+    out += StrFormat(" LIMIT %lld", static_cast<long long>(limit));
+  }
   return out;
 }
 

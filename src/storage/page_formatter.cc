@@ -152,7 +152,8 @@ bool PageFormatter::VerifyChecksum(const uint8_t* page) const {
 
 uint8_t* PageFormatter::SlotAddress(uint8_t* page, uint16_t slot) const {
   if (p_.slot_placement == SlotPlacement::kFrontSlotsBackData) {
-    return page + p_.header_size + static_cast<size_t>(slot) * p_.SlotEntrySize();
+    return page + p_.header_size +
+           static_cast<size_t>(slot) * p_.SlotEntrySize();
   }
   return page + p_.page_size -
          static_cast<size_t>(slot + 1) * p_.SlotEntrySize();
@@ -166,7 +167,8 @@ const uint8_t* PageFormatter::SlotAddress(const uint8_t* page,
 bool PageFormatter::SlotInBounds(uint16_t slot) const {
   // Both placements keep slot `s` within [header_size, page_size) iff the
   // first s+1 entries fit between the header and the page end.
-  return p_.header_size + (static_cast<size_t>(slot) + 1) * p_.SlotEntrySize() <=
+  return p_.header_size +
+             (static_cast<size_t>(slot) + 1) * p_.SlotEntrySize() <=
          p_.page_size;
 }
 
@@ -509,9 +511,10 @@ Status PageFormatter::ParseRecordAt(ByteView page, uint16_t offset,
           return Status::Corruption("type bitmap disagrees with counts");
         }
         size_t begin = static_cast<size_t>(offset) + offsets[next_string];
-        size_t end = next_string + 1 < string_count
-                         ? static_cast<size_t>(offset) + offsets[next_string + 1]
-                         : record_end;
+        size_t end =
+            next_string + 1 < string_count
+                ? static_cast<size_t>(offset) + offsets[next_string + 1]
+                : record_end;
         f.bytes = ByteView(page.data() + begin, end - begin);
         ++next_string;
       } else {
@@ -694,7 +697,7 @@ std::vector<ParsedRecord> PageFormatter::ScanRecordsRaw(ByteView page) const {
   return found;
 }
 
-// ---- index entries -----------------------------------------------------------
+// ---- index entries ----------------------------------------------------------
 
 void PageFormatter::AppendPointer(Bytes* out, RowPointer ptr) const {
   uint8_t buf[12];

@@ -25,6 +25,13 @@ int TableSchema::ColumnIndex(std::string_view column_name) const {
   return -1;
 }
 
+std::vector<std::string> TableSchema::ColumnNames() const {
+  std::vector<std::string> names;
+  names.reserve(columns.size());
+  for (const Column& c : columns) names.push_back(c.name);
+  return names;
+}
+
 size_t TableSchema::NumericColumnCount() const {
   size_t n = 0;
   for (const Column& c : columns) {

@@ -54,6 +54,9 @@ struct TableSchema {
   /// Index of the named column, or -1.
   int ColumnIndex(std::string_view column_name) const;
 
+  /// Column names in declaration order.
+  std::vector<std::string> ColumnNames() const;
+
   size_t NumericColumnCount() const;
 
   /// True if `r` matches arity and per-column types (NULL always allowed at

@@ -23,8 +23,10 @@ const char* ValueTypeName(ValueType t) {
 }
 
 int Value::Compare(const Value& a, const Value& b) {
-  const bool a_num = a.type() == ValueType::kInt || a.type() == ValueType::kDouble;
-  const bool b_num = b.type() == ValueType::kInt || b.type() == ValueType::kDouble;
+  const bool a_num =
+      a.type() == ValueType::kInt || a.type() == ValueType::kDouble;
+  const bool b_num =
+      b.type() == ValueType::kInt || b.type() == ValueType::kDouble;
   if (a.is_null() || b.is_null()) {
     if (a.is_null() && b.is_null()) return 0;
     return a.is_null() ? -1 : 1;

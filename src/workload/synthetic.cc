@@ -109,7 +109,7 @@ Status SyntheticWorkload::Run(int n, const OpMix& mix, bool logged) {
   return Status::Ok();
 }
 
-// ---- byte-level tampering ------------------------------------------------------
+// ---- byte-level tampering ---------------------------------------------------
 
 namespace {
 

@@ -1,8 +1,10 @@
 // DBStorageAuditor tests: byte-level tampering detection and the
-// sorted-vs-naive matcher equivalence.
+// equivalence of the sorted matcher with the nested-loop reference
+// (tests/oracles/auditor_reference.h).
 #include <gtest/gtest.h>
 
 #include "auditor/storage_auditor.h"
+#include "oracles/auditor_reference.h"
 #include "storage/dialects.h"
 #include "workload/synthetic.h"
 
@@ -131,21 +133,20 @@ TEST(AuditorTest, SortedAndNaiveMatchersAgree) {
   auto image = db->SnapshotDisk();
   ASSERT_TRUE(image.ok());
 
-  StorageAuditor::Options naive_options;
-  naive_options.sorted_matching = false;
-  StorageAuditor sorted(ConfigFor(*db));
-  StorageAuditor naive(ConfigFor(*db), naive_options);
-  auto r1 = sorted.Audit(*image);
-  auto r2 = naive.Audit(*image);
+  auto carve = Carver(ConfigFor(*db)).Carve(*image);
+  ASSERT_TRUE(carve.ok());
+  auto r1 = StorageAuditor(ConfigFor(*db)).AuditCarve(*carve);
   ASSERT_TRUE(r1.ok());
-  ASSERT_TRUE(r2.ok());
-  // Same finding multiset (order may differ).
+  AuditReport r2 = auditor_internal::AuditCarveReference(*carve);
+  // Same finding multiset (order may differ) and the same counts.
   std::multiset<std::string> s1;
   std::multiset<std::string> s2;
   for (const auto& f : r1->findings) s1.insert(f.ToString());
-  for (const auto& f : r2->findings) s2.insert(f.ToString());
+  for (const auto& f : r2.findings) s2.insert(f.ToString());
   EXPECT_EQ(s1, s2);
   EXPECT_FALSE(s1.empty());
+  EXPECT_EQ(r1->records_checked, r2.records_checked);
+  EXPECT_EQ(r1->pointers_checked, r2.pointers_checked);
 }
 
 TEST(AuditorTest, IndexStructureTamperingDetected) {

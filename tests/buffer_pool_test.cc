@@ -131,7 +131,8 @@ TEST(BufferPoolTest, ClearDropsEverything) {
   }
   ASSERT_TRUE(pool.Clear().ok());
   EXPECT_TRUE(pool.CachedKeys().empty());
-  EXPECT_EQ((backing.pages[PageKey{1, 1}][0]), 0x55) << "dirty data flushed first";
+  EXPECT_EQ((backing.pages[PageKey{1, 1}][0]), 0x55)
+      << "dirty data flushed first";
   Bytes ram = pool.SnapshotRam();
   EXPECT_EQ(ram[0], 0x00) << "frames zeroed";
 }

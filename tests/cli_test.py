@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Command-line surface checks for the built dbfa tools.
 
-Malformed numeric flags (negative, non-numeric) must end in the usage exit
-(2), never in a signal or a silent default, and a scan step larger than
-the image must end the page scan instead of crashing the carver or the
-snapshot ingest.
+Malformed numeric flags (negative, non-numeric) and arguments a tool does
+not recognise must end in the usage exit (2), never in a signal or a
+silent default; a rejected dbfa_wipe leaves its input image untouched. A
+scan step larger than the image must end the page scan instead of
+crashing the carver or the snapshot ingest.
 
     python3 tests/cli_test.py --bin build/tools
 """
@@ -67,6 +68,29 @@ def main():
                     "--scan-step=" + bad], 2, work)
         expect(["dbfa_fuzz", "--time-budget=-1"], 2, work)
         expect(["dbfa_fuzz", "--time-budget=soon"], 2, work)
+
+        # Unrecognised arguments: usage, exit 2, and the image untouched.
+        # Without a valid -o, dbfa_wipe would overwrite its input.
+        for extra in [["-o"], ["--out", "x.img"], ["-o", "x.img", "-o"],
+                      ["--bogus"], ["demo.log"]]:
+            expect(["dbfa_wipe", "demo.img", "pg.conf"] + extra, 2, work)
+            expect(["dbfa_audit", "demo.img", "pg.conf"] + extra, 2, work)
+            expect(["dbfa_detect", "demo.img", "pg.conf", "demo.log"] + extra,
+                   2, work)
+        with open(os.path.join(work, "demo.img"), "rb") as f:
+            if f.read() != image:
+                failures.append("a rejected dbfa_wipe changed demo.img")
+        if os.path.exists(os.path.join(work, "x.img")):
+            failures.append("a rejected dbfa_wipe wrote x.img")
+        expect(["dbfa_audit", "demo.img", "pg.conf", "--naive"], 2, work)
+        expect(["dbfa_detect", "demo.img", "pg.conf", "demo.log",
+                "--evidence"], 2, work)
+        expect(["dbfa_snapshot", "init", "bad_repo", "pg.conf",
+                "--parse-bad-checksum-pages"], 2, work)
+        # The accepted forms still run (wipe a copy, never the original).
+        expect(["dbfa_audit", "demo.img", "pg.conf"], 0, work)
+        expect(["dbfa_wipe", "demo.img", "pg.conf", "-o", "wiped.img"], 0,
+               work)
 
         # A step past the end of the image ends the scan, serially and on a
         # pool, with the same carve.

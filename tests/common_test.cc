@@ -56,7 +56,7 @@ TEST(ResultTest, AssignOrReturnMacro) {
   EXPECT_FALSE(UseAssignOrReturn(0, &out).ok());
 }
 
-// ---- bytes -------------------------------------------------------------------
+// ---- bytes ------------------------------------------------------------------
 
 TEST(BytesTest, FixedWidthRoundTripBothEndians) {
   uint8_t buf[8];
@@ -115,7 +115,7 @@ TEST(BytesTest, ByteViewSliceClamps) {
   EXPECT_EQ(v.Slice(2)[0], 3);
 }
 
-// ---- checksums ----------------------------------------------------------------
+// ---- checksums --------------------------------------------------------------
 
 TEST(ChecksumTest, Crc32KnownVector) {
   // CRC-32 of "123456789" is 0xCBF43926 (classic check value).
@@ -136,7 +136,9 @@ TEST(ChecksumTest, FletcherAndXorDetectChanges) {
 TEST(ChecksumTest, StreamMatchesOneShot) {
   Bytes data;
   Rng rng(7);
-  for (int i = 0; i < 1000; ++i) data.push_back(static_cast<uint8_t>(rng.NextU64()));
+  for (int i = 0; i < 1000; ++i) {
+    data.push_back(static_cast<uint8_t>(rng.NextU64()));
+  }
   for (ChecksumKind kind : {ChecksumKind::kCrc32, ChecksumKind::kFletcher16,
                             ChecksumKind::kXor8}) {
     ChecksumStream stream(kind);
@@ -157,7 +159,9 @@ uint32_t ReferenceChecksum(ChecksumKind kind, const Bytes& data) {
       uint32_t c = 0xFFFFFFFFu;
       for (uint8_t byte : data) {
         c ^= byte;
-        for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+        for (int k = 0; k < 8; ++k) {
+          c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+        }
       }
       return c ^ 0xFFFFFFFFu;
     }
@@ -211,7 +215,9 @@ TEST(ChecksumTest, KernelsMatchBytewiseReference) {
             all.push_back(0xFE);
           } else {
             all.resize(static_cast<size_t>(rng.Uniform(1, 300)));
-            for (uint8_t& byte : all) byte = static_cast<uint8_t>(rng.NextU64());
+            for (uint8_t& byte : all) {
+              byte = static_cast<uint8_t>(rng.NextU64());
+            }
           }
           ChecksumStream stream(kind);
           stream.Update(all);
@@ -240,7 +246,7 @@ TEST(ChecksumTest, Widths) {
   EXPECT_EQ(ChecksumWidth(ChecksumKind::kXor8), 1u);
 }
 
-// ---- strings ------------------------------------------------------------------
+// ---- strings ----------------------------------------------------------------
 
 TEST(StringsTest, StrFormat) {
   EXPECT_EQ(StrFormat("%d-%s", 42, "x"), "42-x");
@@ -280,7 +286,7 @@ TEST(StringsTest, SqlQuote) {
   EXPECT_EQ(SqlQuote(""), "''");
 }
 
-// ---- rng / hexdump --------------------------------------------------------------
+// ---- rng / hexdump ----------------------------------------------------------
 
 TEST(RngTest, DeterministicPerSeed) {
   Rng a(42);

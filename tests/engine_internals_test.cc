@@ -226,6 +226,40 @@ TEST(DatabaseInternalsTest, ErrorsComeBackCleanly) {
   }
 }
 
+// WHERE clauses and select items bind once per statement, so an unknown
+// column is the same error on an empty table as on a filled one, and even
+// where AND/OR would never evaluate it.
+TEST(DatabaseInternalsTest, UnknownColumnIsABindErrorOnEmptyAndFilledTables) {
+  for (int rows : {0, 20}) {
+    SCOPED_TRACE(rows);
+    auto db = Database::Open(DatabaseOptions{}).value();
+    ASSERT_TRUE(db->ExecuteSql("CREATE TABLE T (a INT, b VARCHAR(8))").ok());
+    for (int i = 0; i < rows; ++i) {
+      ASSERT_TRUE(
+          db->ExecuteSql(StrFormat("INSERT INTO T VALUES (%d, 'x')", i)).ok());
+    }
+    for (const char* sql :
+         {"DELETE FROM T WHERE nope = 1", "UPDATE T SET a = 1 WHERE nope = 1",
+          "SELECT * FROM T WHERE nope = 1", "SELECT nope FROM T",
+          "SELECT * FROM T WHERE a < 0 AND nope = 1",
+          "DELETE FROM T WHERE a >= 0 OR nope = 1",
+          "SELECT * FROM T WHERE x.a = 1"}) {
+      auto result = db->ExecuteSql(sql);
+      ASSERT_FALSE(result.ok()) << sql;
+      EXPECT_EQ(result.status().code(), StatusCode::kNotFound) << sql;
+      EXPECT_EQ(result.status().message().rfind("unknown column: ", 0), 0u)
+          << sql << ": " << result.status().ToString();
+    }
+    // Nothing was deleted or rewritten, and nothing was logged.
+    auto all = db->ExecuteSql("SELECT * FROM T");
+    ASSERT_TRUE(all.ok());
+    EXPECT_EQ(all->rows.size(), static_cast<size_t>(rows));
+    for (const AuditEntry& e : db->audit_log().entries()) {
+      EXPECT_EQ(e.sql.find("nope"), std::string::npos) << e.sql;
+    }
+  }
+}
+
 TEST(DatabaseInternalsTest, DuplicateColumnNameRejected) {
   auto db = Database::Open(DatabaseOptions{}).value();
   TableSchema schema;

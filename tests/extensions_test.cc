@@ -269,7 +269,7 @@ TEST(PageBuilderTest, RejectsBadInput) {
   EXPECT_FALSE(db->AttachExternalTable(schema, zeros).ok());
 }
 
-// ---- Query reordering (Section IV-c) -----------------------------------------
+// ---- Query reordering (Section IV-c) ----------------------------------------
 
 TEST(QueryReorderTest, ReorderingReducesEstimatedMisses) {
   DatabaseOptions options;
@@ -346,6 +346,41 @@ TEST(QueryReorderTest, IndexScansAreCheapEverywhere) {
   EXPECT_EQ(plan->order.size(), 3u);
   // Point lookups (cheap) schedule before the cold full scan.
   EXPECT_EQ(plan->order.back(), 0u) << plan->ToString();
+}
+
+TEST(QueryReorderTest, NotEqualPlansTheFullScanTheEngineRuns) {
+  auto db = Database::Open(DatabaseOptions{}).value();
+  SyntheticWorkload workload(db.get(), "Accounts", 5);
+  ASSERT_TRUE(workload.Setup(3000).ok());
+  ASSERT_TRUE(db->pager().pool().Clear().ok());
+  const std::string ne = "SELECT * FROM Accounts WHERE Id <> 5";
+  auto full = QueryReorderer::Plan(db.get(), {"SELECT * FROM Accounts"});
+  auto plan = QueryReorderer::Plan(db.get(), {ne});
+  ASSERT_TRUE(full.ok());
+  ASSERT_TRUE(plan.ok());
+  // <> bounds no index: the same cold misses as the full scan.
+  EXPECT_GT(full->estimated_misses_original, 0u);
+  EXPECT_EQ(plan->estimated_misses_original, full->estimated_misses_original);
+  ASSERT_TRUE(db->ExecuteSql(ne).ok());
+  EXPECT_EQ(db->last_access_path(), AccessPath::kFullScan);
+}
+
+TEST(QueryReorderTest, ConjunctionPlansTheIndexTheEngineChooses) {
+  auto db = Database::Open(DatabaseOptions{}).value();
+  SyntheticWorkload workload(db.get(), "Accounts", 5);
+  ASSERT_TRUE(workload.Setup(3000).ok());
+  ASSERT_TRUE(db->CreateIndex("idx_owner", "Accounts", {"Owner"}).ok());
+  ASSERT_TRUE(db->pager().pool().Clear().ok());
+  // Both conjuncts bound an index; the engine takes the first in catalog
+  // order (the primary key), so the plan is the Id range scan's.
+  auto range = QueryReorderer::Plan(
+      db.get(), {"SELECT * FROM Accounts WHERE Id > 5"});
+  auto both = QueryReorderer::Plan(
+      db.get(), {"SELECT * FROM Accounts WHERE Id > 5 AND Owner = 'Joe'"});
+  ASSERT_TRUE(range.ok());
+  ASSERT_TRUE(both.ok());
+  EXPECT_EQ(both->estimated_misses_original,
+            range->estimated_misses_original);
 }
 
 TEST(QueryReorderTest, RejectsNonSelects) {

@@ -125,7 +125,7 @@ TEST(FileIoTest, AppendOnlyFileExtendsExistingContent) {
             StatusCode::kFailedPrecondition);
 }
 
-// ---- block files -------------------------------------------------------------
+// ---- block files ------------------------------------------------------------
 
 std::vector<std::pair<uint64_t, std::string>> ScanAll(const std::string& path) {
   std::vector<std::pair<uint64_t, std::string>> blocks;
@@ -293,7 +293,8 @@ TEST(FileIoTest, CommitLogDropsOnlyAShortTail) {
   // never happened: the earlier block survives and the file is truncated
   // to it before the next append.
   for (uint64_t cut = second + 1; cut < end; ++cut) {
-    SCOPED_TRACE(StrFormat("cut at %llu", static_cast<unsigned long long>(cut)));
+    SCOPED_TRACE(
+        StrFormat("cut at %llu", static_cast<unsigned long long>(cut)));
     rebuild();
     fs::resize_file(path, cut);
     EXPECT_EQ(ScanCommitLog(path, [](uint64_t, const std::string&) {
@@ -382,7 +383,7 @@ TEST(FileIoTest, FailedBlockAppendPoisonsLaterAppends) {
   EXPECT_EQ(file->Append("next").status().code(), StatusCode::kIoError);
 }
 
-// ---- callers: an unreadable path is an IoError, not an empty result ----------
+// ---- callers: an unreadable path is an IoError, not an empty result ---------
 
 TEST(FileIoCallersTest, LoadersReportUnreadablePaths) {
   std::string dir = FreshDir("file_io_loaders");
@@ -406,7 +407,7 @@ TEST(FileIoCallersTest, LoadImageOfDirectoryIsIoError) {
   EXPECT_EQ(image.status().code(), StatusCode::kIoError);
 }
 
-// ---- callers: a failing device is an IoError, not a silent success -----------
+// ---- callers: a failing device is an IoError, not a silent success ----------
 
 TEST(FileIoCallersTest, SaversReportFailedWrites) {
   if (!fs::exists(kDevFull)) GTEST_SKIP() << "no /dev/full";

@@ -1,4 +1,4 @@
-// dbfa-lint-fixture: path=src/metaquery/fake_kernel.cc rule=hot-loop-string expect=4
+// dbfa-lint-fixture: path=src/metaquery/kernel.cc rule=hot-loop-string expect=4
 // Known-bad input for dbfa_lint --self-test: std::string construction
 // inside an audited hot-loop region must be flagged. Never compiled.
 #include <sstream>

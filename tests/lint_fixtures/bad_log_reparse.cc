@@ -1,4 +1,4 @@
-// dbfa-lint-fixture: path=src/detective/bad_log_reparse.cc rule=log-reparse expect=3
+// dbfa-lint-fixture: path=src/detective/reparse.cc rule=log-reparse expect=3
 //
 // Private parse loops over the audit log. Each site parses every entry
 // again on every call, although the entry's shared handle has already

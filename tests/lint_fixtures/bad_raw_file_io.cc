@@ -1,4 +1,4 @@
-// dbfa-lint-fixture: path=src/engine/bad_raw_file_io.cc rule=raw-file-io expect=5
+// dbfa-lint-fixture: path=src/engine/raw_io.cc rule=raw-file-io expect=5
 //
 // Hand-rolled file I/O outside common/file_io.cc. Each site below is a
 // private copy of the file seam that can drop an error: the fread loop

@@ -1,4 +1,4 @@
-// dbfa-lint-fixture: path=src/snapshot/snapshot_repo.cc rule=raw-byte-read expect=2
+// dbfa-lint-fixture: path=src/snapshot/repo.cc rule=raw-byte-read expect=2
 // Known-bad input for dbfa_lint --self-test: the snapshot subsystem must
 // not grow raw byte reads outside snapshot_codec.cc — only the codec file
 // is allowlisted (tools/dbfa_lint/allowlist.txt), so punning in any other

@@ -49,7 +49,8 @@ std::shared_ptr<Relation> MakeFact(Rng* rng, size_t n, int64_t key_space) {
                     ? Value::Null()
                     : Value::Int(rng->Uniform(0, key_space - 1)));
     r.push_back(Value::Int(rng->Uniform(0, 7)));
-    r.push_back(Value::Real(0.25 * static_cast<double>(rng->Uniform(-200, 200))));
+    r.push_back(
+        Value::Real(0.25 * static_cast<double>(rng->Uniform(-200, 200))));
     r.push_back(Value::Str(rng->Pick(pool) + std::string(16, '.')));
     rows.push_back(std::move(r));
   }
@@ -121,7 +122,8 @@ TEST(MetaQuerySpillTest, BudgetFuzzMatchesUnlimited) {
 
   MetaQueryOptions unlimited;
   unlimited.num_threads = 2;
-  std::unique_ptr<MetaQuerySession> baseline = MakeSession(fact, dim, unlimited);
+  std::unique_ptr<MetaQuerySession> baseline =
+      MakeSession(fact, dim, unlimited);
 
   std::vector<std::string> shapes = {
       "SELECT id, d, s FROM fact WHERE %s ORDER BY d DESC, id",
@@ -171,7 +173,8 @@ TEST(MetaQuerySpillTest, JoinAndAggregationEightTimesOverBudget) {
       "GROUP BY label ORDER BY label";
 
   MetaQueryOptions unlimited;
-  std::unique_ptr<MetaQuerySession> baseline = MakeSession(fact, dim, unlimited);
+  std::unique_ptr<MetaQuerySession> baseline =
+      MakeSession(fact, dim, unlimited);
   auto expected = baseline->Query(query);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 

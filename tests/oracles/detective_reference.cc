@@ -3,6 +3,7 @@
 #include <string>
 
 #include "common/strings.h"
+#include "oracles/expr_reference.h"
 #include "sql/parser.h"
 
 namespace dbfa::detective_internal {
@@ -28,14 +29,14 @@ FindUnattributedModificationsReference(const CarveResult& carve,
     if (!r.typed || r.values.size() != schema.columns.size()) continue;
     std::vector<std::string> columns;
     for (const Column& c : schema.columns) columns.push_back(c.name);
-    sql::RecordBinding binding(columns, r.values, schema.name);
+    sql_reference::RecordBinding binding(columns, r.values, schema.name);
     auto same_table = [&](const std::string& table) {
       return EqualsIgnoreCase(table, schema.name);
     };
     // A statement's WHERE matches this record (no WHERE matches all rows).
     auto matches = [&](const sql::ExprPtr& where) {
       if (where == nullptr) return true;
-      auto match = sql::EvalPredicate(*where, binding);
+      auto match = sql_reference::EvalPredicate(*where, binding);
       return match.ok() && *match;
     };
 

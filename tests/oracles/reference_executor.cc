@@ -6,13 +6,14 @@
 #include <utility>
 
 #include "common/strings.h"
+#include "oracles/expr_reference.h"
 
 namespace dbfa::metaquery_internal {
 namespace {
 
 /// Per-row binding that re-resolves names on every lookup — the cost the
 /// engine's plan-time binding removes.
-class FrameBinding : public sql::ColumnBinding {
+class FrameBinding : public sql_reference::ColumnBinding {
  public:
   FrameBinding(const FrameSet& frames, const Record& row)
       : frames_(frames), row_(row) {}
@@ -115,8 +116,8 @@ Result<QueryTable> ExecuteReference(const sql::SelectStmt& stmt,
     std::vector<Record> kept;
     for (Record& row : rows) {
       FrameBinding binding(frames, row);
-      DBFA_ASSIGN_OR_RETURN(bool pass,
-                            sql::EvalPredicate(*stmt.where, binding));
+      DBFA_ASSIGN_OR_RETURN(
+          bool pass, sql_reference::EvalPredicate(*stmt.where, binding));
       if (pass) kept.push_back(std::move(row));
     }
     rows = std::move(kept);
@@ -158,7 +159,8 @@ Result<QueryTable> ExecuteReference(const sql::SelectStmt& stmt,
           it->second.second[i].Add(Value::Int(1));  // COUNT(*)
           continue;
         }
-        DBFA_ASSIGN_OR_RETURN(Value v, sql::Eval(*item.expr, binding));
+        DBFA_ASSIGN_OR_RETURN(Value v,
+                              sql_reference::Eval(*item.expr, binding));
         it->second.second[i].Add(v);
       }
     }
@@ -185,7 +187,8 @@ Result<QueryTable> ExecuteReference(const sql::SelectStmt& stmt,
         } else {
           // Non-aggregate items take their value from the group's
           // representative row (valid for grouped columns).
-          DBFA_ASSIGN_OR_RETURN(Value v, sql::Eval(*item.expr, binding));
+          DBFA_ASSIGN_OR_RETURN(Value v,
+                                sql_reference::Eval(*item.expr, binding));
           row.push_back(std::move(v));
         }
       }
@@ -215,7 +218,7 @@ Result<QueryTable> ExecuteReference(const sql::SelectStmt& stmt,
       if (e == nullptr) {
         projected.insert(projected.end(), row.begin(), row.end());
       } else {
-        DBFA_ASSIGN_OR_RETURN(Value v, sql::Eval(*e, binding));
+        DBFA_ASSIGN_OR_RETURN(Value v, sql_reference::Eval(*e, binding));
         projected.push_back(std::move(v));
       }
     }

@@ -195,7 +195,8 @@ TEST_P(PageFormatterTest, FreeSpaceShrinksAndInsertFailsWhenFull) {
   fmt_.InitPage(page(), 1, 1, PageType::kData);
   size_t before = fmt_.FreeSpace(page());
   ASSERT_GT(before, 0u);
-  auto enc = fmt_.EncodeRecord(TestSchema(), MakeRow(1, "AAAA", "BBBB", 1.0), 1);
+  auto enc =
+      fmt_.EncodeRecord(TestSchema(), MakeRow(1, "AAAA", "BBBB", 1.0), 1);
   ASSERT_TRUE(enc.ok());
   size_t inserted = 0;
   while (true) {
@@ -311,8 +312,9 @@ TEST_P(PageFormatterTest, SlotInsertPositionOrdersEntries) {
 }
 
 TEST_P(PageFormatterTest, PointerCodecRoundTrip) {
-  for (RowPointer ptr : {RowPointer{0, 0}, RowPointer{1, 5},
-                         RowPointer{0xFFFFFF, 0x7FFF}, RowPointer{123456, 42}}) {
+  for (RowPointer ptr :
+       {RowPointer{0, 0}, RowPointer{1, 5}, RowPointer{0xFFFFFF, 0x7FFF},
+        RowPointer{123456, 42}}) {
     Bytes buf;
     fmt_.AppendPointer(&buf, ptr);
     size_t consumed = 0;
@@ -350,7 +352,8 @@ TEST(DialectRegistryTest, AllBuiltinsValidateAndAreDistinct) {
   }
   for (size_t i = 0; i < all.size(); ++i) {
     for (size_t j = i + 1; j < all.size(); ++j) {
-      EXPECT_FALSE(all[i] == all[j]) << all[i].dialect << " vs " << all[j].dialect;
+      EXPECT_FALSE(all[i] == all[j])
+          << all[i].dialect << " vs " << all[j].dialect;
     }
   }
 }

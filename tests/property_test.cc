@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "core/carver.h"
 #include "engine/database.h"
+#include "sql/bound_expr.h"
 #include "sql/parser.h"
 #include "storage/dialects.h"
 #include "storage/disk_image.h"
@@ -338,15 +339,10 @@ TEST(SqlFuzzProperty, DeeplyNestedExpressionsParse) {
   for (int i = 0; i < 200; ++i) expr = "(" + expr + " + 1)";
   auto parsed = sql::ParseExpression(expr);
   ASSERT_TRUE(parsed.ok());
-  // And evaluate correctly.
-  class Empty : public sql::ColumnBinding {
-   public:
-    std::optional<Value> Lookup(std::string_view) const override {
-      return std::nullopt;
-    }
-  };
-  Empty binding;
-  auto v = sql::Eval(**parsed, binding);
+  // And bind and evaluate correctly (no columns to resolve).
+  auto bound = sql::BindExpr(**parsed, sql::MakeSchemaResolver({}, ""));
+  ASSERT_TRUE(bound.ok());
+  auto v = sql::EvalBound(**bound, Record{});
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(*v, Value::Int(201));
 }

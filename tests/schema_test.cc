@@ -35,8 +35,8 @@ TEST(SchemaTest, TypeCheck) {
   EXPECT_TRUE(s.TypeCheck(
       {Value::Int(1), Value::Null(), Value::Null(), Value::Int(2)}))
       << "ints acceptable in DOUBLE columns; NULL acceptable anywhere";
-  EXPECT_FALSE(s.TypeCheck(
-      {Value::Str("1"), Value::Str("Joe"), Value::Str("NY"), Value::Real(1.0)}));
+  EXPECT_FALSE(s.TypeCheck({Value::Str("1"), Value::Str("Joe"),
+                            Value::Str("NY"), Value::Real(1.0)}));
   EXPECT_FALSE(s.TypeCheck({Value::Int(1)})) << "arity mismatch";
 }
 

@@ -768,7 +768,8 @@ TEST(SnapshotRepoTest, CorruptedRepositoryFilesFailGracefully) {
     FlipByteAt(RepoPath(dir), offset);
     auto repo = SnapshotRepo::Open(dir);
     EXPECT_FALSE(repo.ok());
-    EXPECT_TRUE(repo.status().code() == StatusCode::kCorruption) << repo.status().ToString();
+    EXPECT_TRUE(repo.status().code() == StatusCode::kCorruption)
+        << repo.status().ToString();
     FlipByteAt(RepoPath(dir), offset);  // restore
   }
 
@@ -782,7 +783,8 @@ TEST(SnapshotRepoTest, CorruptedRepositoryFilesFailGracefully) {
     WriteManifests(dir, manifests);
     auto repo = SnapshotRepo::Open(dir);
     EXPECT_FALSE(repo.ok());
-    EXPECT_TRUE(repo.status().code() == StatusCode::kCorruption) << repo.status().ToString();
+    EXPECT_TRUE(repo.status().code() == StatusCode::kCorruption)
+        << repo.status().ToString();
   }
 }
 
@@ -791,7 +793,8 @@ TEST(SnapshotRepoTest, IngestRejectsEmptyImageAndUnknownSnapshotIds) {
   auto repo = SnapshotRepo::Create(dir, ConfigFor("postgres_like"));
   ASSERT_TRUE(repo.ok()) << repo.status().ToString();
   EXPECT_FALSE((*repo)->Ingest(ByteView()).ok());
-  EXPECT_TRUE((*repo)->AssembleCarve(1).status().code() == StatusCode::kNotFound);
+  EXPECT_TRUE((*repo)->AssembleCarve(1).status().code() ==
+              StatusCode::kNotFound);
   EXPECT_TRUE((*repo)->Diff(1, 2).status().code() == StatusCode::kNotFound);
   // Base 0 is the empty repository, but the target must still exist.
   AuditLog log;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "oracles/expr_reference.h"
+#include "sql/bound_expr.h"
 #include "sql/parser.h"
 #include "sql/token.h"
 
@@ -48,27 +50,43 @@ TEST(TokenizerTest, RejectsUnterminatedStringAndBadChars) {
 }
 
 // ---- expressions -----------------------------------------------------------
+//
+// Every case runs through the production evaluator (BindExpr, then
+// EvalBoundPredicate and EvalBound) and through the name-resolving oracle
+// (tests/oracles/expr_reference.h) over the same row; the two must agree
+// on the predicate, on the value and on its type.
 
-class SingleRowBinding : public ColumnBinding {
- public:
-  std::optional<Value> Lookup(std::string_view name) const override {
-    if (name == "name" || name == "c.name") return Value::Str("Christine");
-    if (name == "city") return Value::Str("Chicago");
-    if (name == "age") return Value::Int(34);
-    if (name == "score") return Value::Real(2.5);
-    if (name == "missing_val") return Value::Null();
-    return std::nullopt;
-  }
-};
+const std::vector<std::string> kNames = {"name", "city", "age", "score",
+                                         "missing_val"};
+const Record kRow = {Value::Str("Christine"), Value::Str("Chicago"),
+                     Value::Int(34), Value::Real(2.5), Value::Null()};
 
 bool Holds(const std::string& text) {
   auto e = ParseExpression(text);
   EXPECT_TRUE(e.ok()) << text << ": " << e.status().ToString();
   if (!e.ok()) return false;
-  SingleRowBinding binding;
-  auto r = EvalPredicate(**e, binding);
+  auto bound = BindExpr(**e, MakeSchemaResolver(kNames, "c"));
+  EXPECT_TRUE(bound.ok()) << text << ": " << bound.status().ToString();
+  if (!bound.ok()) return false;
+  auto r = EvalBoundPredicate(**bound, kRow);
+  auto v = EvalBound(**bound, kRow);
   EXPECT_TRUE(r.ok()) << text << ": " << r.status().ToString();
-  return r.ok() && *r;
+  EXPECT_TRUE(v.ok()) << text << ": " << v.status().ToString();
+  if (!r.ok() || !v.ok()) return false;
+
+  sql_reference::RecordBinding binding(kNames, kRow, "c");
+  auto oracle_r = sql_reference::EvalPredicate(**e, binding);
+  auto oracle_v = sql_reference::Eval(**e, binding);
+  EXPECT_TRUE(oracle_r.ok()) << text << ": " << oracle_r.status().ToString();
+  EXPECT_TRUE(oracle_v.ok()) << text << ": " << oracle_v.status().ToString();
+  if (oracle_r.ok()) {
+    EXPECT_EQ(*r, *oracle_r) << text;
+  }
+  if (oracle_v.ok()) {
+    EXPECT_EQ(v->type(), oracle_v->type()) << text;
+    EXPECT_EQ(*v, *oracle_v) << text;
+  }
+  return *r;
 }
 
 TEST(ExprTest, Comparisons) {
@@ -125,8 +143,53 @@ TEST(ExprTest, QualifiedColumn) { EXPECT_TRUE(Holds("c.name LIKE 'C%'")); }
 TEST(ExprTest, UnknownColumnIsError) {
   auto e = ParseExpression("nope = 1");
   ASSERT_TRUE(e.ok());
-  SingleRowBinding binding;
-  EXPECT_FALSE(EvalPredicate(**e, binding).ok());
+  auto bound = BindExpr(**e, MakeSchemaResolver(kNames, "c"));
+  ASSERT_FALSE(bound.ok());
+  EXPECT_EQ(bound.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(bound.status().message(), "unknown column: nope");
+  sql_reference::RecordBinding binding(kNames, kRow, "c");
+  auto oracle = sql_reference::EvalPredicate(**e, binding);
+  ASSERT_FALSE(oracle.ok());
+  EXPECT_EQ(oracle.status().code(), bound.status().code());
+  EXPECT_EQ(oracle.status().message(), bound.status().message());
+}
+
+TEST(ExprTest, UnknownColumnFailsAtBindEvenWhereEvaluationSkipsIt) {
+  // The oracle short-circuits past the bad name; binding sees every name.
+  auto e = ParseExpression("age = 0 AND nope = 1");
+  ASSERT_TRUE(e.ok());
+  sql_reference::RecordBinding binding(kNames, kRow, "c");
+  auto oracle = sql_reference::EvalPredicate(**e, binding);
+  ASSERT_TRUE(oracle.ok());
+  EXPECT_FALSE(*oracle);
+  auto bound = BindExpr(**e, MakeSchemaResolver(kNames, "c"));
+  ASSERT_FALSE(bound.ok());
+  EXPECT_EQ(bound.status().message(), "unknown column: nope");
+}
+
+TEST(ExprTest, OtherQualifierDoesNotResolve) {
+  auto e = ParseExpression("x.name = 'Christine'");
+  ASSERT_TRUE(e.ok());
+  EXPECT_FALSE(BindExpr(**e, MakeSchemaResolver(kNames, "c")).ok());
+  sql_reference::RecordBinding binding(kNames, kRow, "c");
+  EXPECT_FALSE(sql_reference::EvalPredicate(**e, binding).ok());
+}
+
+TEST(ExprTest, EvaluationErrorsAgree) {
+  for (const char* text : {"name + 1 = 2", "age LIKE 'x%'",
+                           "LENGTH(age) = 2", "ABS(name) = 1"}) {
+    auto e = ParseExpression(text);
+    ASSERT_TRUE(e.ok()) << text;
+    auto bound = BindExpr(**e, MakeSchemaResolver(kNames, "c"));
+    ASSERT_TRUE(bound.ok()) << text;
+    auto r = EvalBoundPredicate(**bound, kRow);
+    sql_reference::RecordBinding binding(kNames, kRow, "c");
+    auto oracle = sql_reference::EvalPredicate(**e, binding);
+    ASSERT_FALSE(r.ok()) << text;
+    ASSERT_FALSE(oracle.ok()) << text;
+    EXPECT_EQ(r.status().code(), oracle.status().code()) << text;
+    EXPECT_EQ(r.status().message(), oracle.status().message()) << text;
+  }
 }
 
 TEST(ExprTest, ToSqlRoundTrip) {
@@ -142,15 +205,7 @@ TEST(ExprTest, ToSqlRoundTrip) {
   }
 }
 
-TEST(ExprTest, CollectColumns) {
-  auto e = ParseExpression("a = 1 AND b LIKE 'x%' OR LENGTH(c) < d");
-  ASSERT_TRUE(e.ok());
-  std::vector<std::string> cols;
-  CollectColumns(**e, &cols);
-  EXPECT_EQ(cols, (std::vector<std::string>{"a", "b", "c", "d"}));
-}
-
-// ---- statements ----------------------------------------------------------------
+// ---- statements -------------------------------------------------------------
 
 TEST(ParserTest, CreateTableFull) {
   auto stmt = ParseStatement(

@@ -1,26 +1,19 @@
 // dbfa_audit — run DBStorageAuditor over a storage image: B-Tree integrity
 // verification plus index/table cross-matching for file-tampering evidence.
 //
-//   dbfa_audit <image> <config.conf> [--naive]
+//   dbfa_audit <image> <config.conf>
+//
+// Any other argument prints usage and exits 2.
 #include <cstdio>
-#include <cstring>
-#include <string>
 
 #include "auditor/storage_auditor.h"
 #include "storage/disk_image.h"
 
 int main(int argc, char** argv) {
   using namespace dbfa;
-  if (argc < 3) {
-    std::fprintf(stderr, "usage: dbfa_audit <image> <config.conf> "
-                         "[--naive]\n");
+  if (argc != 3) {
+    std::fprintf(stderr, "usage: dbfa_audit <image> <config.conf>\n");
     return 2;
-  }
-  StorageAuditor::Options options;
-  for (int i = 3; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--naive") == 0) {
-      options.sorted_matching = false;
-    }
   }
   auto config = LoadConfig(argv[2]);
   if (!config.ok()) {
@@ -32,7 +25,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "image: %s\n", image.status().ToString().c_str());
     return 1;
   }
-  StorageAuditor auditor(*config, options);
+  StorageAuditor auditor(*config);
   auto report = auditor.Audit(*image);
   if (!report.ok()) {
     std::fprintf(stderr, "%s\n", report.status().ToString().c_str());

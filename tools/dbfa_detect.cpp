@@ -6,7 +6,7 @@
 //
 // --threads=N carves the image on N workers (0 = hardware concurrency;
 // default 1, the serial carve) before analysis; findings are identical.
-// A malformed thread count prints usage and exits 2.
+// A malformed thread count or any other argument prints usage and exits 2.
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -36,11 +36,14 @@ int main(int argc, char** argv) {
   options.num_threads = 1;
   for (int i = 4; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg.rfind("--evidence=", 0) == 0) evidence_dir = arg.substr(11);
-    if (arg.rfind("--threads=", 0) == 0) {
+    if (arg.rfind("--evidence=", 0) == 0) {
+      evidence_dir = arg.substr(11);
+    } else if (arg.rfind("--threads=", 0) == 0) {
       uint64_t v = 0;
       if (!ParseU64(arg.c_str() + 10, &v)) return Usage();
       options.num_threads = static_cast<size_t>(v);
+    } else {
+      return Usage();
     }
   }
   auto config = LoadConfig(argv[2]);

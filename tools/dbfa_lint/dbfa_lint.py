@@ -44,6 +44,12 @@ express, documented in docs/static_analysis.md:
                     engine/audit_log.cc: an audit-log entry is parsed once,
                     by its shared handle (AuditEntry::statement()), and a
                     private parse loop re-parses the whole log per call.
+  line-length       no line longer than .clang-format's ColumnLimit (80
+                    columns) in src/, tools/, bench/ or tests/: the CI
+                    format job (clang-format --dry-run -Werror) rejects
+                    one, and this machine-independent check catches it
+                    before CI does. "// clang-format off" does not exempt
+                    a line here.
 
 Suppression: append "// dbfa-lint: allow(<rule>): <why>" on the offending
 line or the line above it. File-level exemptions live in allowlist.txt
@@ -56,8 +62,9 @@ Regression-test the linter itself against tests/lint_fixtures/:
 
 Lexical, stdlib-only by design: the container toolchain has no libclang,
 and every invariant above is expressible over comment/string-stripped
-token text. Scanned files are the first-party .cc/.h/.cpp sources; the
-optional compile_commands.json is not required.
+token text. Scanned files are the first-party .cc/.h/.cpp sources under
+src/, tools/, bench/ and tests/ (tests/lint_fixtures/ only through
+--self-test); the optional compile_commands.json is not required.
 """
 
 import argparse
@@ -67,7 +74,7 @@ import sys
 
 RULES = ("raw-byte-read", "nodiscard-status", "unordered-iter",
          "naked-rand-time", "hot-loop-string", "raw-sync", "raw-file-io",
-         "log-reparse")
+         "log-reparse", "line-length")
 
 # Directories (relative to the repo root) whose output ordering is part of
 # the bit-identical determinism contract; unordered-iter fires only here.
@@ -90,6 +97,9 @@ class Finding:
 
     def __str__(self):
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
+
+
+HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 def strip_comments_and_strings(text):
@@ -122,6 +132,11 @@ def strip_comments_and_strings(text):
             code.append(re.sub(r"[^\n]", " ", chunk))
             line += chunk.count("\n")
             i = j
+        elif (c == "'" and 0 < i < n - 1 and text[i - 1] in HEX_DIGITS
+              and text[i + 1] in HEX_DIGITS):
+            # A digit separator (90'000), not a character literal.
+            code.append(c)
+            i += 1
         elif c == '"' or c == "'":
             # R"delim(...)delim" raw strings first.
             if c == '"' and i >= 1 and text[i - 1] == "R":
@@ -439,6 +454,25 @@ def check_log_reparse(relpath, code, comments, findings):
             "which parses each entry once for every copy of the log"))
 
 
+# ---- line-length ----------------------------------------------------------
+
+COLUMN_LIMIT = 80  # .clang-format ColumnLimit
+
+
+def check_line_length(relpath, code, comments, findings):
+    # `code` keeps every line's width: comments and literals are blanked
+    # character for character.
+    for ln, line in enumerate(code.split("\n"), 1):
+        if len(line) <= COLUMN_LIMIT:
+            continue
+        if allowed("line-length", ln, comments, code):
+            continue
+        findings.append(Finding(
+            relpath, ln, "line-length",
+            f"{len(line)} columns, over .clang-format's ColumnLimit of "
+            f"{COLUMN_LIMIT}; wrap it as clang-format would"))
+
+
 CHECKS = {
     "raw-byte-read": check_raw_byte_read,
     "nodiscard-status": check_nodiscard_status,
@@ -448,6 +482,7 @@ CHECKS = {
     "raw-sync": check_raw_sync,
     "raw-file-io": check_raw_file_io,
     "log-reparse": check_log_reparse,
+    "line-length": check_line_length,
 }
 
 
@@ -483,9 +518,15 @@ def lint_text(relpath, text, allowlist):
     return findings
 
 
+FIXTURE_DIR = os.path.join("tests", "lint_fixtures")
+
+
 def iter_source_files(root):
-    for top in ("src", "tools", "bench"):
+    for top in ("src", "tools", "bench", "tests"):
         for dirpath, _, files in os.walk(os.path.join(root, top)):
+            # Fixtures are known-bad by design; --self-test lints them.
+            if os.path.relpath(dirpath, root) == FIXTURE_DIR:
+                continue
             for name in sorted(files):
                 if name.endswith((".cc", ".h", ".cpp")):
                     yield os.path.join(dirpath, name)
@@ -510,7 +551,7 @@ def run_self_test(root, allowlist):
     """Every fixture declares the pretend path it is linted under, the rule
     it exercises, and how many findings of that rule it must produce; a
     rule that stops firing on its known-bad fixture fails the suite."""
-    fixture_dir = os.path.join(root, "tests", "lint_fixtures")
+    fixture_dir = os.path.join(root, FIXTURE_DIR)
     fixtures = sorted(
         f for f in os.listdir(fixture_dir) if f.endswith((".cc", ".h")))
     if not fixtures:
@@ -556,7 +597,8 @@ def run_self_test(root, allowlist):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("paths", nargs="*",
-                        help="files to lint (default: src/, tools/, bench/)")
+                        help="files to lint (default: src/, tools/, "
+                        "bench/, tests/)")
     parser.add_argument("--root", default=None,
                         help="repo root (default: two levels above script)")
     parser.add_argument("--allowlist", default=None,

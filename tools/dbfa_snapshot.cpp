@@ -2,7 +2,6 @@
 // incremental carving (docs/snapshot_store.md).
 //
 //   dbfa_snapshot init   <repo-dir> <config.conf> [--scan-step=N]
-//                        [--parse-bad-checksum-pages]
 //   dbfa_snapshot ingest <repo-dir> <image> [--threads=N]
 //   dbfa_snapshot list   <repo-dir>
 //   dbfa_snapshot diff   <repo-dir> <base-id> <target-id>
@@ -31,7 +30,6 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage: dbfa_snapshot init   <repo-dir> <config.conf> [--scan-step=N]\n"
-      "                            [--parse-bad-checksum-pages]\n"
       "       dbfa_snapshot ingest <repo-dir> <image> [--threads=N]\n"
       "       dbfa_snapshot list   <repo-dir>\n"
       "       dbfa_snapshot diff   <repo-dir> <base-id> <target-id>\n"
@@ -64,8 +62,6 @@ int main(int argc, char** argv) {
         uint64_t v = 0;
         if (!ParseU64(arg.c_str() + 12, &v)) return Usage();
         options.scan_step = static_cast<size_t>(v);
-      } else if (arg == "--parse-bad-checksum-pages") {
-        options.parse_bad_checksum_pages = true;
       } else {
         return Usage();
       }

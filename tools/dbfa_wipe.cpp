@@ -4,7 +4,8 @@
 //
 //   dbfa_wipe <image> <config.conf> [-o <out.img>]
 //
-// Without -o the input image is overwritten.
+// Without -o the input image is overwritten. Any other argument, or -o
+// without a value, prints usage and exits 2 before the image is read.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -12,16 +13,23 @@
 #include "antiforensics/wiper.h"
 #include "storage/disk_image.h"
 
+namespace {
+
+int Usage() {
+  std::fprintf(stderr,
+               "usage: dbfa_wipe <image> <config.conf> [-o <out.img>]\n");
+  return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace dbfa;
-  if (argc < 3) {
-    std::fprintf(stderr,
-                 "usage: dbfa_wipe <image> <config.conf> [-o <out.img>]\n");
-    return 2;
-  }
+  if (argc < 3) return Usage();
   std::string out_path = argv[1];
-  for (int i = 3; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "-o") == 0) out_path = argv[i + 1];
+  for (int i = 3; i < argc; ++i) {
+    if (std::strcmp(argv[i], "-o") != 0 || i + 1 >= argc) return Usage();
+    out_path = argv[++i];
   }
   auto config = LoadConfig(argv[2]);
   if (!config.ok()) {
